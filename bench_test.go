@@ -293,10 +293,7 @@ func BenchmarkSimEndToEnd(b *testing.B) {
 // the metric-aware policy — the scale of the paper's production
 // evaluation and the cost that bounds year-scale policy studies. The
 // trace is generated once and cloned per iteration; the reported
-// jobs/s is the end-to-end simulation throughput. The search=par
-// variant turns on the branch-parallel window search, which produces
-// the byte-identical schedule (TestParallelSearchScheduleDeterministic
-// pins this).
+// jobs/s is the end-to-end simulation throughput.
 func BenchmarkSimAtScale(b *testing.B) {
 	cfg := workload.IntrepidYear(42)
 	jobs, err := cfg.Generate()
@@ -305,32 +302,17 @@ func BenchmarkSimAtScale(b *testing.B) {
 	}
 	b.Logf("trace: %d jobs over %.0f days", len(jobs),
 		(jobs[len(jobs)-1].Submit.Sub(jobs[0].Submit)).HoursF()/24)
-	for _, search := range []struct {
-		name    string
-		workers int
-	}{
-		{"serial", 0},
-		{"par", -1},
-		{"par/workers=1", 1},
-		{"par/workers=2", 2},
-		{"par/workers=4", 4},
-		{"par/workers=8", 8},
-	} {
-		b.Run("search="+search.name, func(b *testing.B) {
-			for n := 0; n < b.N; n++ {
-				s := core.NewMetricAware(0.5, 5)
-				s.SearchWorkers = search.workers
-				_, err := sim.Run(sim.Config{
-					Machine:   machine.NewIntrepid(),
-					Scheduler: s,
-				}, jobs)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(jobs))*float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
-		})
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		_, err := sim.Run(sim.Config{
+			Machine:   machine.NewIntrepid(),
+			Scheduler: core.NewMetricAware(0.5, 5),
+		}, jobs)
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.ReportMetric(float64(len(jobs))*float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
 }
 
 // BenchmarkSimWhatIf measures the simulation-in-the-loop tuner against

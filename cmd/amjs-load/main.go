@@ -10,7 +10,7 @@
 //	amjs-load -addr http://127.0.0.1:8080 -trace sample
 //	amjs-load -trace intrepid.swf -accel 3600 -workers 4
 //	amjs-load -trace gen -max 100000 -batch 256          # batched, full speed
-//	amjs-load -trace gen -batch 256 -curve 20000,50000,100000 -step-dur 3s -json BENCH_5.json
+//	amjs-load -trace gen -batch 256 -curve 20000,50000,100000 -step-dur 3s -json curve.json
 //
 // With -accel 0 and -rate 0 (the defaults) jobs are submitted back to
 // back — a closed-loop saturation test. -rate R offers an open-loop
@@ -551,10 +551,9 @@ type artifact struct {
 	IngestCurve []artifactStep  `json:"ingest_curve"`
 }
 
-// writeArtifact renders the run in the BENCH_<n>.json schema
-// benchcompare reads: each step becomes an IngestHTTP/... benchmark
-// (ns_per_op = 1e9/achieved rate, so the regression gate applies
-// unchanged) and the saturation curve is embedded verbatim.
+// writeArtifact renders the run as a JSON benchmark artifact: each
+// step becomes an IngestHTTP/... entry (ns_per_op = 1e9/achieved
+// rate) and the saturation curve is embedded verbatim.
 func writeArtifact(path string, cfg loadConfig, steps []*summary, peak float64, baseNote string, baseRate float64) error {
 	a := artifact{
 		Date: time.Now().UTC().Format(time.RFC3339),

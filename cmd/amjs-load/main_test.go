@@ -76,7 +76,7 @@ func TestReplayThroughput(t *testing.T) {
 }
 
 // The batched wire mode must beat the single-request floor by a wide
-// margin — this is the 5x ingest path BENCH_5 measures.
+// margin — this is the 5x ingest path of DESIGN.md §11.
 func TestReplayBatchThroughput(t *testing.T) {
 	const jobs = 40000
 	d, srv := bootDaemon(t, 512)

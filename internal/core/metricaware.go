@@ -2,12 +2,10 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"amjs/internal/invariant"
 	"amjs/internal/job"
 	"amjs/internal/machine"
-	"amjs/internal/parallel"
 	"amjs/internal/sched"
 	"amjs/internal/units"
 )
@@ -71,12 +69,9 @@ type MetricAware struct {
 	// ablation bench).
 	PermOrderReservation bool
 
-	// SearchWorkers shards the branch-and-bound window search across a
-	// worker pool: each first-position choice becomes one task exploring
-	// its subtree on a private plan clone. 0 or 1 keeps the search
-	// serial; negative means one worker per CPU. Every setting returns
-	// the identical winning permutation (see bestPermutationParallel),
-	// so it is purely a throughput knob.
+	// SearchWorkers is ignored: the window search is serial (DESIGN.md
+	// §7). The field remains only because the frozen benchmarks/ tree
+	// still assigns it; the next benchmark PR removes both.
 	SearchWorkers int
 
 	// reservedID is the job currently holding the protected reservation
@@ -131,39 +126,15 @@ type MetricAware struct {
 	// nameOverride replaces the default Name when non-empty.
 	nameOverride string
 
-	// search, prio, and branches are the reusable scratch state of the
+	// search and prio are the reusable scratch state of the
 	// branch-and-bound window search and the priority scoring pass —
 	// buffers only, not configuration. Clone drops them so two scheduler
 	// instances never share scratch (the parallel experiment runner runs
 	// clones concurrently); AdoptScratch transplants them from a retired
-	// clone instead. branches holds one private search state per
-	// first-position choice of the parallel search.
+	// clone instead.
 	search     *permSearch
 	prio       *prioScratch
-	branches   []*permSearch
-	branchRes  []branchResult
 	blockedBuf []*job.Job
-
-	// par is the parallel search's cross-goroutine state — the reusable
-	// fan-out handle, the packed shared bound, and the per-search inputs
-	// RunTask reads. Heap-allocated once per scheduler lifetime (it
-	// embeds sync primitives, which Clone's struct copy must not
-	// duplicate) and transplanted by AdoptScratch like the rest of the
-	// scratch.
-	par *parScratch
-}
-
-// parScratch is the per-scheduler state of one parallel window search.
-// The input fields (plan, window, now, n) are written by the
-// coordinating goroutine before the fan-out and are read-only to the
-// workers; bound is the packed cross-branch incumbent (see packScore).
-type parScratch struct {
-	fan    parallel.Fan
-	bound  atomic.Uint64
-	plan   machine.Plan
-	window []*job.Job
-	now    units.Time
-	n      int
 }
 
 // NewMetricAware returns a metric-aware scheduler with the given balance
@@ -196,10 +167,7 @@ func (s *MetricAware) Clone() sched.Scheduler {
 	c := *s
 	c.search = nil
 	c.prio = nil
-	c.branches = nil
-	c.branchRes = nil
 	c.blockedBuf = nil
-	c.par = nil
 	return &c
 }
 
@@ -218,15 +186,8 @@ func (s *MetricAware) AdoptScratch(from sched.Scheduler) {
 	if s.prio == nil {
 		s.prio, f.prio = f.prio, nil
 	}
-	if s.branches == nil {
-		s.branches, f.branches = f.branches, nil
-		s.branchRes, f.branchRes = f.branchRes, nil
-	}
 	if s.blockedBuf == nil {
 		s.blockedBuf, f.blockedBuf = f.blockedBuf, nil
-	}
-	if s.par == nil {
-		s.par, f.par = f.par, nil
 	}
 }
 
@@ -617,163 +578,10 @@ func (s *MetricAware) bestPermutation(plan machine.Plan, window []*job.Job, now 
 		return identity
 	}
 
-	if workers := parallel.Workers(s.SearchWorkers); s.SearchWorkers != 0 && workers > 1 && n >= 3 {
-		return s.bestPermutationParallel(plan, window, now, workers)
-	}
-
 	ps.begin(plan, window, now, s.UtilizationFirst)
 	ps.dfs(0, now, 0)
 	ps.plan, ps.window = nil, nil // do not retain the pass's plan
 	return ps.best
-}
-
-// branchResult is one first-position branch's outcome: the best
-// completion found in its subtree (perm aliases the branch's scratch,
-// valid until its next search).
-type branchResult struct {
-	have  bool
-	span  units.Time
-	nodes int
-	perm  []int
-}
-
-// boundEmpty is the shared incumbent's "no completion yet" value: it
-// compares unsigned-greater-or-equal to every packable score, so an
-// empty bound never cuts anything and any real completion replaces it.
-const boundEmpty = ^uint64(0)
-
-// Packed-score layout: the secondary criterion's component occupies the
-// low boundNodeBits bits. 20 node bits cover any immediate-start sum a
-// maxPermWindow-job window on a 40960-node machine can reach; the
-// remaining 44 span bits cover ~557k simulated years. The -2 keeps the
-// largest packable score strictly below boundEmpty.
-const (
-	boundNodeBits = 20
-	boundNodeMask = (1 << boundNodeBits) - 1
-	boundSpanMax  = (1 << (64 - boundNodeBits)) - 2
-)
-
-// packScore folds a completed schedule's (span, nodes) score into one
-// uint64 whose unsigned order is exactly the objective's preference
-// order (smaller = better): the primary criterion sits in the high
-// bits, and the node count enters complemented since more nodes is
-// better. ok is false when a component overflows the packed range —
-// the caller must then skip publishing rather than clamp, because a
-// clamped key would overstate the incumbent and cut a subtree that
-// could still win.
-func packScore(span units.Time, nodes int, utilFirst bool) (uint64, bool) {
-	if span < 0 || span > boundSpanMax || nodes < 0 || nodes > boundNodeMask {
-		return 0, false
-	}
-	if utilFirst {
-		return uint64(boundNodeMask-nodes)<<(64-boundNodeBits) | uint64(span), true
-	}
-	return uint64(span)<<boundNodeBits | uint64(boundNodeMask-nodes), true
-}
-
-// packScoreFloor is packScore for candidate lower bounds: out-of-range
-// components are clamped toward "better", so the result never exceeds
-// the candidate's true key and a cut based on it is always sound.
-func packScoreFloor(span units.Time, nodes int, utilFirst bool) uint64 {
-	if span < 0 {
-		span = 0
-	} else if span > boundSpanMax {
-		span = boundSpanMax
-	}
-	if nodes > boundNodeMask {
-		nodes = boundNodeMask
-	}
-	key, _ := packScore(span, nodes, utilFirst)
-	return key
-}
-
-// bestPermutationParallel is bestPermutation with the first-position
-// choices of the search tree fanned out across the persistent helper
-// pool (parallel.Searchers). Each branch explores its subtree exactly
-// as the serial DFS would — private plan clone, private scratch, local
-// incumbent seeded empty — so within a branch the lex-earliest best
-// completion survives. Branches share one packed atomic incumbent used
-// only to cut subtrees that cannot even tie it (sharedWorse): a subtree
-// containing a globally optimal completion is never cut, no matter how
-// worker scheduling interleaves the bound updates. The merge walks the
-// branches in first-position order keeping strict improvements only,
-// which is precisely the serial DFS's update rule at depth 0 — so the
-// returned permutation is byte-identical to the serial search's for
-// every worker count (pinned by TestParallelSearchDeterministic).
-//
-// The whole fan-out allocates nothing after warm-up: branch states,
-// result slots, the Fan, and the packed bound are all per-scheduler
-// scratch provisioned once, and the helpers are process-lifetime
-// goroutines claiming branch indices from an atomic cursor.
-func (s *MetricAware) bestPermutationParallel(plan machine.Plan, window []*job.Job, now units.Time, workers int) []int {
-	n := len(window)
-	for len(s.branches) < n {
-		s.branches = append(s.branches, &permSearch{})
-	}
-	if cap(s.branchRes) < n {
-		s.branchRes = make([]branchResult, n)
-	}
-	s.branchRes = s.branchRes[:n]
-	if s.par == nil {
-		s.par = &parScratch{}
-	}
-	p := s.par
-	p.bound.Store(boundEmpty)
-	p.plan, p.window, p.now, p.n = plan, window, now, n
-	p.fan.Run(parallel.Searchers, n, workers, s)
-	p.plan, p.window = nil, nil // do not retain the pass's plan
-
-	out := s.search.identity(n)
-	adopted := false
-	var bestSpan units.Time
-	var bestNodes int
-	for c := 0; c < n; c++ {
-		r := s.branchRes[c]
-		if !r.have {
-			continue
-		}
-		better := r.span < bestSpan || (r.span == bestSpan && r.nodes > bestNodes)
-		if s.UtilizationFirst {
-			better = r.nodes > bestNodes || (r.nodes == bestNodes && r.span < bestSpan)
-		}
-		if !adopted || better {
-			adopted = true
-			bestSpan, bestNodes = r.span, r.nodes
-			copy(out, r.perm)
-		}
-	}
-	return out
-}
-
-// RunTask implements parallel.Runner: explore first-position branch c
-// of the current parallel window search. Each index touches only its
-// own branch state and result slot; the shared inputs in s.par are
-// read-only during the fan-out and s.par.bound is atomic.
-func (s *MetricAware) RunTask(c int) {
-	p := s.par
-	bs := s.branches[c]
-	clone := bs.clonePlan(p.plan)
-	bs.identity(p.n) // size the incumbent buffer
-	bs.begin(clone, p.window, p.now, s.UtilizationFirst)
-	bs.shared = &p.bound
-	bs.perm[0] = c
-	bs.used[c] = true
-	j := p.window[c]
-	span, nodes := p.now, 0
-	ts, hint := clone.EarliestStart(j.Nodes, j.Walltime)
-	if ts != units.Forever {
-		if end := ts.Add(j.Walltime); end > span {
-			span = end
-		}
-		if ts == p.now {
-			nodes = j.Nodes
-		}
-		clone.Commit(j.Nodes, ts, j.Walltime, hint)
-	}
-	bs.dfs(1, span, nodes)
-	bs.arena = bs.plan // retire the private clone for the next search
-	bs.plan, bs.window, bs.shared = nil, nil, nil
-	s.branchRes[c] = branchResult{have: bs.haveBest, span: bs.bestSpan, nodes: bs.bestNodes, perm: bs.best}
 }
 
 // permSearch is the branch-and-bound state of one window search. It
@@ -794,58 +602,7 @@ type permSearch struct {
 	bestNodes int
 	haveBest  bool
 
-	// shared, when non-nil, is the parallel search's cross-branch
-	// incumbent, packed by packScore. It may only cut subtrees that
-	// cannot tie-or-beat it (sharedWorse) — a strictly weaker cut than
-	// the local incumbent's — so the lex-earliest optimum always
-	// survives in its branch.
-	shared *atomic.Uint64
-
-	// arena is the branch's retired private plan clone, reused by the
-	// next search on this branch (see machine.PlanCloner). Each branch
-	// state is claimed by exactly one worker per search, so the arena
-	// never crosses goroutines within a pass.
-	arena machine.Plan
-
 	memo [][]probeEntry // per-depth sibling probe memo
-}
-
-// clonePlan clones src for this branch's private use, reusing the
-// branch's retired arena clone when the plan supports it.
-func (ps *permSearch) clonePlan(src machine.Plan) machine.Plan {
-	if c, ok := src.(machine.PlanCloner); ok && ps.arena != nil {
-		return c.CloneInto(ps.arena)
-	}
-	return src.Clone()
-}
-
-// sharedWorse reports whether a subtree whose best conceivable
-// completion is (spanLB, maxNodes) is strictly worse than the shared
-// incumbent — it cannot even tie it, so no branch's lex order is
-// disturbed by the cut. Packed keys make this one unsigned compare; the
-// floor-clamped candidate key never exceeds the true one, so the cut
-// stays sound, and against an empty bound nothing compares worse.
-func (ps *permSearch) sharedWorse(spanLB units.Time, maxNodes int) bool {
-	return packScoreFloor(spanLB, maxNodes, ps.utilFirst) > ps.shared.Load()
-}
-
-// publish folds a completed schedule's score into the shared incumbent
-// if it strictly improves it (CAS-min on the packed key, allocation
-// free). Unpackable scores are skipped — the bound just stays weaker.
-func (ps *permSearch) publish(span units.Time, nodes int) {
-	key, ok := packScore(span, nodes, ps.utilFirst)
-	if !ok {
-		return
-	}
-	for {
-		cur := ps.shared.Load()
-		if key >= cur {
-			return
-		}
-		if ps.shared.CompareAndSwap(cur, key) {
-			return
-		}
-	}
 }
 
 // probeEntry caches one EarliestStart answer at a search-tree node:
@@ -973,9 +730,6 @@ func (ps *permSearch) dfs(depth int, span units.Time, nodesNow int) {
 	if ps.haveBest && ps.pruned(maxEnd, nodesNow, nowSum) {
 		return
 	}
-	if ps.shared != nil && ps.sharedWorse(maxEnd, nodesNow+nowSum) {
-		return
-	}
 	last := depth == ps.n-1
 	for c := 0; c < ps.n; c++ {
 		if ps.used[c] {
@@ -1001,9 +755,6 @@ func (ps *permSearch) dfs(depth int, span units.Time, nodesNow int) {
 				ps.haveBest = true
 				ps.bestSpan, ps.bestNodes = childSpan, childNodes
 				copy(ps.best, ps.perm)
-				if ps.shared != nil {
-					ps.publish(childSpan, childNodes)
-				}
 			}
 			continue
 		}
@@ -1015,9 +766,6 @@ func (ps *permSearch) dfs(depth int, span units.Time, nodesNow int) {
 			childLB = maxEnd
 		}
 		if ps.haveBest && ps.pruned(childLB, childNodes, childNowSum) {
-			continue
-		}
-		if ps.shared != nil && ps.sharedWorse(childLB, childNodes+childNowSum) {
 			continue
 		}
 		ps.used[c] = true

@@ -102,10 +102,9 @@ func oracleMachine(r *rand.Rand) machine.Machine {
 	return m
 }
 
-// oracleWindow builds a randomized window of 2..5 jobs. Occasionally a
-// job is oversized (can never fit) to exercise the Forever path.
-func oracleWindow(r *rand.Rand) []*job.Job {
-	n := 2 + r.Intn(4)
+// oracleWindow builds a randomized window of n jobs. Occasionally a job
+// is oversized (can never fit) to exercise the Forever path.
+func oracleWindow(r *rand.Rand, n int) []*job.Job {
 	window := make([]*job.Job, n)
 	for i := range window {
 		nodes := 1 + r.Intn(220)
@@ -126,17 +125,26 @@ func oracleWindow(r *rand.Rand) []*job.Job {
 
 // The branch-and-bound search must select exactly the permutation the
 // seed's exhaustive loop selects — including all tie-breaks — on
-// randomized machine states and windows, under both objective modes,
-// and must leave the shared plan unchanged.
+// randomized machine states and windows of 2..maxPermWindow jobs, under
+// both objective modes, and must leave the shared plan unchanged. One
+// scheduler serves every width of a mode, so the search scratch is
+// resized up and down between rounds as the adaptive tuner would.
 func TestBestPermutationMatchesExhaustiveOracle(t *testing.T) {
 	const rounds = 1200
+	// The exhaustive loop costs 720–5,040 orderings per window past the
+	// paper's W <= 5, so only every wideEvery-th round goes wide.
+	const wideEvery = 40
 	r := rand.New(rand.NewSource(7))
 	for _, utilFirst := range []bool{false, true} {
-		s := NewMetricAware(0.5, 5)
+		s := NewMetricAware(0.5, maxPermWindow)
 		s.UtilizationFirst = utilFirst
 		for i := 0; i < rounds; i++ {
+			n := 2 + i%4
+			if i%wideEvery == 0 {
+				n = maxPermWindow - (i/wideEvery)%2
+			}
 			m := oracleMachine(r)
-			window := oracleWindow(r)
+			window := oracleWindow(r, n)
 			now := units.Time(r.Intn(40))
 			plan := m.Plan(now)
 			want := exhaustiveBestPermutation(plan, window, now, utilFirst)

@@ -165,9 +165,10 @@ func CloneMachineInto(src, dst Machine) Machine {
 // buffer reuse. When dst is a retired plan of the same machine
 // instance, the snapshot is copied into dst's backing arrays and dst is
 // returned; otherwise a fresh clone is allocated, exactly as Clone
-// would. The parallel window search keeps one retired clone per search
-// branch as a private arena, so a steady-state search clones plans
-// without touching the heap. dst must not be in use.
+// would. dst must not be in use. No scheduler calls it since the
+// parallel window search was deleted (DESIGN.md §7); it remains only
+// because the frozen benchmarks/ tree still probes it
+// (machine.plan_clone_ns), and the next benchmark PR removes both.
 type PlanCloner interface {
 	CloneInto(dst Plan) Plan
 }

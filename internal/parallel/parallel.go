@@ -83,137 +83,6 @@ func ForEach(n, workers int, task func(i int) error) error {
 	return err
 }
 
-// Runner is a task source for the zero-allocation fan-out path: RunTask
-// executes item i. Implementations carry their own per-item state (the
-// window search keeps one private branch state per index), so no
-// closure is formed per call.
-type Runner interface {
-	RunTask(i int)
-}
-
-// Fan fans a Runner's items out across a Group's persistent helper
-// goroutines without allocating: the caller embeds (or reuses) one Fan
-// per fan-out site, helpers claim item indices from an atomic cursor,
-// and a WaitGroup of participants — not items — lets the caller reuse
-// the Fan the moment Run returns. Items must be independent; each index
-// is claimed by exactly one participant.
-type Fan struct {
-	r      Runner
-	n      int32
-	cursor atomic.Int32
-	wg     sync.WaitGroup
-}
-
-// Run executes r.RunTask(i) for every i in [0, n), recruiting up to
-// workers-1 idle helpers from g; the caller always works too, so the
-// call degrades gracefully to a serial loop when the pool is busy,
-// saturated, or nil. It blocks until every item is done AND every
-// recruited helper has left the Fan, so the receiver is immediately
-// reusable.
-func (f *Fan) Run(g *Group, n, workers int, r Runner) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || g == nil {
-		for i := 0; i < n; i++ {
-			r.RunTask(i)
-		}
-		return
-	}
-	f.r = r
-	f.n = int32(n)
-	f.cursor.Store(0)
-	// One wg count per recruited helper. Add happens strictly before the
-	// hand-off (the helper's Done) and before the caller's Wait, so the
-	// WaitGroup is reused legally; a failed hand-off retracts its count
-	// before Wait can observe it.
-	for k := 1; k < workers; k++ {
-		f.wg.Add(1)
-		if !g.handOff(f) {
-			f.wg.Done()
-			break // pool saturated — more offers would fail too
-		}
-	}
-	f.work()
-	f.wg.Wait()
-	f.r = nil
-}
-
-// work claims and runs items until the cursor is exhausted. Helpers run
-// it between hand-off and Done, so every access to the Fan's fields is
-// ordered by the channel send (before) and the WaitGroup (after).
-func (f *Fan) work() {
-	n := f.n
-	for {
-		i := f.cursor.Add(1) - 1
-		if i >= n {
-			return
-		}
-		f.r.RunTask(int(i))
-	}
-}
-
-// Group is a lazily grown, process-lifetime pool of helper goroutines
-// that parked helpers rendezvous with callers on an unbuffered channel.
-// Helpers are spun up only when a hand-off finds none idle and the pool
-// is below GOMAXPROCS-1, so programs that never fan out pay nothing;
-// once started, helpers live for the life of the process (they are
-// shared by every fan-out site and spend their idle time blocked on the
-// channel, costing only a goroutine's stack).
-type Group struct {
-	work    chan *Fan
-	mu      sync.Mutex
-	started int
-}
-
-// Searchers is the process-wide helper pool for CPU-bound search
-// fan-outs (the metric-aware window search recruits from it).
-var Searchers = NewGroup()
-
-// NewGroup returns an empty pool; helpers start on demand.
-func NewGroup() *Group {
-	return &Group{work: make(chan *Fan)}
-}
-
-// handOff offers f to one idle helper, starting a new helper first when
-// none is parked and the pool has headroom. It never blocks: if no
-// helper takes the Fan immediately (a freshly started one may not have
-// parked yet), the offer is abandoned and the caller keeps the work —
-// the helper joins the pool in time for the next fan-out, which is the
-// lazy spin-up the first few searches of a run pay for warm-up.
-func (g *Group) handOff(f *Fan) bool {
-	select {
-	case g.work <- f:
-		return true
-	default:
-	}
-	g.mu.Lock()
-	if g.started < runtime.GOMAXPROCS(0)-1 {
-		g.started++
-		go g.helper()
-	}
-	g.mu.Unlock()
-	select {
-	case g.work <- f:
-		return true
-	default:
-		return false
-	}
-}
-
-// helper is one pool goroutine: park on the channel, join the received
-// Fan, signal departure, repeat. After wg.Done it never touches the Fan
-// again, which is what makes the caller's immediate reuse safe.
-func (g *Group) helper() {
-	for f := range g.work {
-		f.work()
-		f.wg.Done()
-	}
-}
-
 // Map runs f(i) for every i in [0, n) across the pool and returns the
 // results indexed by i — deterministic output for nondeterministic
 // completion order. On error the results are nil.

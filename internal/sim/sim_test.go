@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -22,6 +24,28 @@ func run(t *testing.T, cfg Config, jobs []*job.Job) *Result {
 		t.Fatalf("Run: %v", err)
 	}
 	return res
+}
+
+// scheduleHash fingerprints a completed schedule: every job's identity
+// and placement, in input order.
+func scheduleHash(res *Result) [32]byte {
+	h := sha256.New()
+	var buf [8]byte
+	word := func(v int64) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	for _, j := range res.Jobs {
+		word(int64(j.ID))
+		word(int64(j.Submit))
+		word(int64(j.Start))
+		word(int64(j.End))
+		word(int64(j.Nodes))
+		word(int64(j.State))
+	}
+	var out [32]byte
+	h.Sum(out[:0])
+	return out
 }
 
 func TestSingleJobLifecycle(t *testing.T) {

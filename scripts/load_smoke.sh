@@ -4,7 +4,7 @@
 # real TCP loopback (the Go tests cover the same path in-process). The
 # run fails unless the achieved submission rate clears MIN_RATE, a
 # deliberately conservative floor so the gate holds on small shared CI
-# hosts; scripts/bench_ingest.sh is the measured run.
+# hosts; the daemon-ingest benchmark workload is the measured run.
 #
 # Usage: scripts/load_smoke.sh
 #   MIN_RATE  throughput floor in jobs/s   (default 20000)
@@ -18,27 +18,9 @@ MIN_RATE=${MIN_RATE:-20000}
 JOBS=${JOBS:-100000}
 BATCH=${BATCH:-256}
 
-bin=$(mktemp -d)
-log="$bin/amjsd.log"
-trap 'kill "$daemon_pid" 2>/dev/null || true; wait "$daemon_pid" 2>/dev/null || true; rm -rf "$bin"' EXIT
-
-go build -o "$bin/amjsd" ./cmd/amjsd
+. scripts/daemon_lib.sh
+boot_daemon easy
 go build -o "$bin/amjs-load" ./cmd/amjs-load
-
-# Port 0 binds an ephemeral port; the daemon announces the real one on
-# stdout as "amjsd listening on HOST:PORT".
-"$bin/amjsd" -addr 127.0.0.1:0 -machine flat:512 -policy easy \
-    -speedup inf -log-requests=false >"$bin/announce" 2>"$log" &
-daemon_pid=$!
-
-addr=
-for _ in $(seq 1 50); do
-    addr=$(sed -n 's/^amjsd listening on \(.*\)$/\1/p' "$bin/announce" 2>/dev/null || true)
-    [ -n "$addr" ] && break
-    kill -0 "$daemon_pid" 2>/dev/null || { echo "load_smoke: daemon died:" >&2; cat "$log" >&2; exit 1; }
-    sleep 0.1
-done
-[ -n "$addr" ] || { echo "load_smoke: daemon never announced its address" >&2; cat "$log" >&2; exit 1; }
 
 echo "load_smoke: daemon at $addr, submitting $JOBS jobs in batches of $BATCH (floor $MIN_RATE/s)" >&2
 "$bin/amjs-load" -addr "http://$addr" -trace "gen:$JOBS" -batch "$BATCH" \

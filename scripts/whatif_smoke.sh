@@ -19,24 +19,8 @@ POLICY=${POLICY:-whatif:avg-wait:1}
 
 command -v curl >/dev/null || { echo "whatif_smoke: curl not found" >&2; exit 1; }
 
-bin=$(mktemp -d)
-log="$bin/amjsd.log"
-trap 'kill "$daemon_pid" 2>/dev/null || true; wait "$daemon_pid" 2>/dev/null || true; rm -rf "$bin"' EXIT
-
-go build -o "$bin/amjsd" ./cmd/amjsd
-
-"$bin/amjsd" -addr 127.0.0.1:0 -machine flat:512 -policy "$POLICY" \
-    -speedup inf -log-requests=false >"$bin/announce" 2>"$log" &
-daemon_pid=$!
-
-addr=
-for _ in $(seq 1 50); do
-    addr=$(sed -n 's/^amjsd listening on \(.*\)$/\1/p' "$bin/announce" 2>/dev/null || true)
-    [ -n "$addr" ] && break
-    kill -0 "$daemon_pid" 2>/dev/null || { echo "whatif_smoke: daemon died:" >&2; cat "$log" >&2; exit 1; }
-    sleep 0.1
-done
-[ -n "$addr" ] || { echo "whatif_smoke: daemon never announced its address" >&2; cat "$log" >&2; exit 1; }
+. scripts/daemon_lib.sh
+boot_daemon "$POLICY"
 
 # A contended trace: job sizes cycle up to the full machine, arrivals
 # every 5 virtual minutes, runtimes long enough that the queue deepens
