@@ -23,8 +23,12 @@ test:
 race:
 	$(GO) test -race -timeout 10m ./internal/sim ./internal/parallel ./internal/server
 
+# vet also gates formatting: CI has no other check, and a PR that
+# moves code between files is where misformatting slips in.
 vet:
 	$(GO) vet ./...
+	@test -z "$$(gofmt -l . | grep -v '^.bench_build/')" \
+		|| { echo "gofmt -l reports:"; gofmt -l . | grep -v '^.bench_build/'; exit 1; }
 
 # A one-iteration pass over the scheduling benchmarks: catches bench
 # bit-rot without the minutes-long measured run. The ingest-decode

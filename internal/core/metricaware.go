@@ -92,32 +92,29 @@ type MetricAware struct {
 	// sampling of large windows (see shouldVerifyWindow).
 	verifyCount int
 
-	// lastHorizon and lastHorizonOK implement sched.PassBounder: the
-	// submit-time horizon of the last pass's outcome. Every started
-	// job, every reservation the pass committed, every job in a window
-	// up to and including the last acted-on window, and the earliest
-	// holders of the queue's walltime extrema (which anchor the
-	// ScoreRuntime scale) contribute their submit times; a pass whose
-	// outcome provably reached no deeper than H behaves identically on
-	// any submit-prefix of the queue that extends to H.
-	lastHorizon   units.Time
-	lastHorizonOK bool
-
-	// lastQuiescent implements sched.PassQuiescer: true when the last
-	// pass started nothing, so repeating it on unchanged state at any
-	// later instant is provably the same no-op (every plan instant is
-	// absolute and the earliest of them is preceded by an end event;
-	// see the interface contract).
-	lastQuiescent bool
-
-	// lastMutated implements sched.PassMutator: true when the last pass
-	// granted, released, or moved the persistent protected reservation —
-	// the only scheduler state that survives a pass and feeds later
-	// decisions. reservedStart refreshes and the pass-report fields
-	// (lastHorizon, lastQuiescent, verifyCount) are excluded: no
-	// scheduling decision ever reads them, and Schedule overwrites the
-	// reports at entry.
-	lastMutated bool
+	// last is the report on the last pass (sched.PassReporter).
+	//
+	// Horizon and Bounded: the submit-time horizon of the pass's
+	// outcome. Every started job, every reservation the pass committed,
+	// every job in a window up to and including the last acted-on
+	// window, and the earliest holders of the queue's walltime extrema
+	// (which anchor the ScoreRuntime scale) contribute their submit
+	// times; a pass whose outcome provably reached no deeper than H
+	// behaves identically on any submit-prefix of the queue that extends
+	// to H.
+	//
+	// Quiescent: true when the pass started nothing, so repeating it on
+	// unchanged state at any later instant is provably the same no-op
+	// (every plan instant is absolute and the earliest of them is
+	// preceded by an end event; see the field's contract).
+	//
+	// Mutated: true when the pass granted, released, or moved the
+	// persistent protected reservation — the only scheduler state that
+	// survives a pass and feeds later decisions. reservedStart refreshes,
+	// verifyCount and the report itself are excluded: no scheduling
+	// decision ever reads them, and Schedule overwrites the report at
+	// entry.
+	last sched.PassReport
 
 	// order overrides the queue prioritization when non-nil (used by the
 	// multi-metric extension); the default is Prioritize with BF.
@@ -218,21 +215,12 @@ func (s *MetricAware) JobRemoved(id int) {
 	}
 }
 
-// LastPassHorizon implements sched.PassBounder. See the contract on
-// sched.PassBounder; ok is false when the pass ran under a custom
-// order hook, whose dependence on the queue the scheduler cannot
-// bound.
-func (s *MetricAware) LastPassHorizon() (units.Time, bool) {
-	return s.lastHorizon, s.lastHorizonOK
-}
-
-// LastPassQuiescent implements sched.PassQuiescer.
-func (s *MetricAware) LastPassQuiescent() bool { return s.lastQuiescent }
-
-// LastPassMutatedState implements sched.PassMutator. The protected
-// reservation's holder is the only persistent decision input, so a pass
-// mutated state exactly when reservedID changed.
-func (s *MetricAware) LastPassMutatedState() bool { return s.lastMutated }
+// LastPass implements sched.PassReporter; see the contracts on
+// sched.PassReport. Bounded is false when the pass ran under a custom
+// order hook, whose dependence on the queue the scheduler cannot bound.
+// The protected reservation's holder is the only persistent decision
+// input, so a pass mutated state exactly when reservedID changed.
+func (s *MetricAware) LastPass() sched.PassReport { return s.last }
 
 // placement is one job's slot in a tentative window schedule.
 type placement struct {
@@ -243,10 +231,9 @@ type placement struct {
 
 // Schedule implements sched.Scheduler.
 func (s *MetricAware) Schedule(env sched.Env) {
-	s.lastHorizon, s.lastHorizonOK = 0, true
-	s.lastQuiescent = true
+	s.last = sched.PassReport{Bounded: true, Quiescent: true}
 	entryReserved := s.reservedID
-	defer func() { s.lastMutated = s.reservedID != entryReserved }()
+	defer func() { s.last.Mutated = s.reservedID != entryReserved }()
 	queue := env.Queue()
 	if len(queue) == 0 {
 		return
@@ -287,7 +274,7 @@ func (s *MetricAware) Schedule(env sched.Env) {
 			// nowhere (monotone under queue subsets) and, in EASY mode,
 			// on the reserved job still being queued — the only job
 			// whose presence the horizon must pin.
-			s.lastHorizon = heldSubmit
+			s.last.Horizon = heldSubmit
 			return
 		}
 	}
@@ -296,7 +283,7 @@ func (s *MetricAware) Schedule(env sched.Env) {
 	aggHorizon := units.Time(0)
 	if s.order != nil {
 		sorted = s.order(now, queue)
-		s.lastHorizonOK = false
+		s.last.Bounded = false
 	} else {
 		if s.prio == nil {
 			s.prio = &prioScratch{}
@@ -325,8 +312,8 @@ func (s *MetricAware) Schedule(env sched.Env) {
 			}
 			// Whether re-committed, lapsed, or unplaceable, the verdict
 			// hangs on this job's presence and plan probe.
-			if j.Submit > s.lastHorizon {
-				s.lastHorizon = j.Submit
+			if j.Submit > s.last.Horizon {
+				s.last.Horizon = j.Submit
 			}
 			if ts, hint := plan.EarliestStart(j.Nodes, j.Walltime); ts != units.Forever {
 				if ts == now {
@@ -409,7 +396,7 @@ func (s *MetricAware) Schedule(env sched.Env) {
 			if ts == now {
 				if env.StartAt(j, hint) {
 					plan.Commit(j.Nodes, now, j.Walltime, hint)
-					s.lastQuiescent = false
+					s.last.Quiescent = false
 					acted = end
 					if j.ID == s.reservedID {
 						s.reservedID = 0
@@ -464,7 +451,7 @@ func (s *MetricAware) Schedule(env sched.Env) {
 		r.Recycle(plan)
 	}
 
-	// Close the pass horizon (sched.PassBounder). Windows past the last
+	// Close the pass horizon (sched.PassReport). Windows past the last
 	// acted-on one committed nothing — every job there probed blocked or
 	// unplaceable against a plan no later window changes — so on any
 	// submit-prefix retaining the acted prefix and the score anchors,
@@ -473,12 +460,12 @@ func (s *MetricAware) Schedule(env sched.Env) {
 	// with no start and no reservation movement anywhere, no reordering
 	// of a sub-queue can conjure one from the same plan.
 	if acted > 0 {
-		if aggHorizon > s.lastHorizon {
-			s.lastHorizon = aggHorizon
+		if aggHorizon > s.last.Horizon {
+			s.last.Horizon = aggHorizon
 		}
 		for _, j := range sorted[:acted] {
-			if j.Submit > s.lastHorizon {
-				s.lastHorizon = j.Submit
+			if j.Submit > s.last.Horizon {
+				s.last.Horizon = j.Submit
 			}
 		}
 	}

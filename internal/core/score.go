@@ -69,7 +69,7 @@ type prioScratch struct {
 	// queue extending to aggHorizon retains both extrema and scores all
 	// shared jobs identically. (The wait score's anchor, the maximum
 	// wait, belongs to the earliest-submitted job of all and survives
-	// every nonempty prefix for free.) Feeds sched.PassBounder.
+	// every nonempty prefix for free.) Feeds sched.PassReport.
 	aggHorizon units.Time
 }
 

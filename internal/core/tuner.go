@@ -253,22 +253,15 @@ func (t *Tuner) AdoptScratch(from sched.Scheduler) {
 // scheduler, which may hold a protected reservation for the job.
 func (t *Tuner) JobRemoved(id int) { t.base.JobRemoved(id) }
 
-// LastPassHorizon implements sched.PassBounder by delegation: the pass
-// outcome is the wrapped policy's, so its bound applies verbatim.
-func (t *Tuner) LastPassHorizon() (units.Time, bool) { return t.base.LastPassHorizon() }
-
-// LastPassQuiescent implements sched.PassQuiescer by delegation: the
-// pass outcome is the wrapped policy's, so its promise applies
-// verbatim. (Retunes happen at checkpoints, which dirty the engine and
-// force the next pass regardless.)
-func (t *Tuner) LastPassQuiescent() bool { return t.base.LastPassQuiescent() }
-
-// LastPassMutatedState implements sched.PassMutator by delegation. The
-// Tuner's own persistent state (the tunables) changes only at
-// Checkpoint, never during a pass — and the engine resolves every
-// deferred fairness batch before a retune can take effect — so a pass
-// mutates state exactly when the wrapped policy's does.
-func (t *Tuner) LastPassMutatedState() bool { return t.base.LastPassMutatedState() }
+// LastPass implements sched.PassReporter by delegation: the pass
+// outcome is the wrapped policy's, so its horizon and its quiescence
+// promise apply verbatim (retunes happen at checkpoints, which dirty
+// the engine and force the next pass regardless). The Tuner's own
+// persistent state (the tunables) changes only at Checkpoint, never
+// during a pass — and the engine resolves every deferred fairness batch
+// before a retune can take effect — so a pass mutates state exactly
+// when the wrapped policy's does.
+func (t *Tuner) LastPass() sched.PassReport { return t.base.LastPass() }
 
 // ProtectedReservation implements invariant.ReservationHolder by
 // forwarding to the wrapped scheduler.

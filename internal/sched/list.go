@@ -34,11 +34,11 @@ func (l *List) Clone() Scheduler {
 	return &c
 }
 
-// LastPassMutatedState implements PassMutator. A list pass carries no
-// state across passes at all — every decision is recomputed from the
-// queue and machine — so no pass ever mutates persistent scheduler
-// state.
-func (l *List) LastPassMutatedState() bool { return false }
+// LastPass implements PassReporter. A list pass carries no state across
+// passes at all — every decision is recomputed from the queue and
+// machine — so no pass ever mutates persistent scheduler state; it
+// bounds nothing and promises no quiescence.
+func (l *List) LastPass() PassReport { return PassReport{} }
 
 // Schedule implements Scheduler.
 func (l *List) Schedule(env Env) {

@@ -86,11 +86,12 @@ func (r *Reserving) Clone() Scheduler {
 	return &c
 }
 
-// LastPassMutatedState implements PassMutator. Reserving rebuilds every
+// LastPass implements PassReporter. Reserving rebuilds every
 // reservation from the queue on each pass and keeps nothing between
 // passes (the plan and its reservations are pass-local), so no pass
-// ever mutates persistent scheduler state.
-func (r *Reserving) LastPassMutatedState() bool { return false }
+// ever mutates persistent scheduler state; it bounds nothing and
+// promises no quiescence.
+func (r *Reserving) LastPass() PassReport { return PassReport{} }
 
 // Schedule implements Scheduler.
 func (r *Reserving) Schedule(env Env) {

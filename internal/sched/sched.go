@@ -104,70 +104,76 @@ type Evictor interface {
 	JobRemoved(id int)
 }
 
-// PassBounder is implemented by schedulers that can bound, after each
-// Schedule call, how deep into the arrival stream the pass's outcome
-// reached. LastPassHorizon reports a submit-time horizon H with this
-// contract: for any cutoff T >= H, running the same pass (same machine
-// state, same plan inputs, same pre-pass scheduler state) on the
-// sub-queue {j : j.Submit <= T} would have produced the identical
-// outcome — the same started jobs with the same placements and the
-// same post-pass scheduler state. ok reports whether the bound is
-// valid; a pass the scheduler cannot bound (a custom order hook, an
-// algorithm that inspects every queued job) must return ok == false so
-// the caller assumes the whole queue mattered.
-//
-// The fairness oracle uses the horizon to keep deferred no-later-
-// arrival worlds glued to the main schedule: a pending batch that
-// arrived at instant T stays byte-identical to the main engine while
-// every executed pass reports H <= T, so its fair starts resolve
-// without simulating anything.
-type PassBounder interface {
-	LastPassHorizon() (units.Time, bool)
+// PassReporter is implemented by schedulers that can describe, after
+// each Schedule call, how far the pass reached and what it left behind.
+// The engine always reads the claims together — the fairness oracle to
+// keep deferred no-later-arrival worlds glued to the main schedule, the
+// event loop to elide passes that provably repeat as no-ops — so they
+// travel as one report. A scheduler that cannot make a claim leaves its
+// field at the conservative value; one that does not implement the
+// interface at all is read as unbounded, not quiescent, and assumed to
+// have mutated state.
+type PassReporter interface {
+	LastPass() PassReport
 }
 
-// PassMutator is implemented by schedulers that can report, after each
-// Schedule call, whether the pass changed any persistent cross-pass
-// scheduler state — a protected reservation granted, released, or moved
-// to a different job. Pass-local scratch, per-pass reports (horizons,
-// quiescence), and bookkeeping no future decision reads (a re-committed
-// reservation's refreshed start instant) do not count.
-//
-// The event-mode fairness oracle consults it at phantom instants:
-// instants where the main engine runs a scheduling pass but a deferred
-// no-later-arrival world has no event at all (an extra job's arrival, a
-// checkpoint). The deferred world skips that pass entirely, so it stays
-// glued to the main schedule only if the pass both started nothing and
-// left every piece of persistent scheduler state untouched — exactly
-// the claim LastPassMutatedState lets the engine check. Schedulers that
-// cannot make the distinction simply do not implement the interface;
-// the engine then assumes every pass mutated state and resolves the
-// deferred worlds conservatively.
-type PassMutator interface {
-	LastPassMutatedState() bool
-}
+// PassReport is what a scheduler claims about its last Schedule call.
+type PassReport struct {
+	// Horizon bounds how deep into the arrival stream the pass's outcome
+	// reached, as a submit time H with this contract: for any cutoff
+	// T >= H, running the same pass (same machine state, same plan
+	// inputs, same pre-pass scheduler state) on the sub-queue
+	// {j : j.Submit <= T} would have produced the identical outcome —
+	// the same started jobs with the same placements and the same
+	// post-pass scheduler state. Bounded reports whether the bound is
+	// valid; a pass the scheduler cannot bound (a custom order hook, an
+	// algorithm that inspects every queued job) must leave it false so
+	// the caller assumes the whole queue mattered.
+	//
+	// The fairness oracle uses the horizon to keep deferred no-later-
+	// arrival worlds glued to the main schedule: a pending batch that
+	// arrived at instant T stays byte-identical to the main engine while
+	// every executed pass reports H <= T, so its fair starts resolve
+	// without simulating anything.
+	Horizon units.Time
+	Bounded bool
 
-// PassQuiescer is implemented by schedulers whose passes are provably
-// time-invariant on unchanged state: LastPassQuiescent reports whether
-// repeating the last Schedule call at any later instant, with the same
-// machine state, queue, and scheduler state, would again start nothing
-// and leave every piece of persistent scheduler state untouched. The
-// engine uses it to elide due passes outright until the next
-// schedule-relevant event, even when Eq. 4's δ says some queued job
-// fits the idle nodes (a backfill candidate held off by a protected
-// reservation keeps δ true for hours of simulated time).
-//
-// The claim is sound for policies whose start and reservation decisions
-// depend on the plan alone, not the clock: every plan instant (a
-// running job's walltime-bound release, a reservation's earliest fit)
-// is absolute, and the first of them to arrive is preceded by the end
-// event that frees the nodes — which dirties the engine and forces a
-// real pass. Time-varying priority scores may reorder the queue
-// between ticks, but with nothing individually startable no ordering
-// can conjure a start, and a held reservation pins reservation state.
-// Policies that cannot make this promise simply do not implement the
-// interface.
-type PassQuiescer interface {
-	LastPassQuiescent() bool
+	// Quiescent claims the pass is time-invariant on unchanged state:
+	// repeating it at any later instant, with the same machine state,
+	// queue, and scheduler state, would again start nothing and leave
+	// every piece of persistent scheduler state untouched. The engine
+	// uses it to elide due passes outright until the next
+	// schedule-relevant event, even when Eq. 4's δ says some queued job
+	// fits the idle nodes (a backfill candidate held off by a protected
+	// reservation keeps δ true for hours of simulated time).
+	//
+	// The claim is sound for policies whose start and reservation
+	// decisions depend on the plan alone, not the clock: every plan
+	// instant (a running job's walltime-bound release, a reservation's
+	// earliest fit) is absolute, and the first of them to arrive is
+	// preceded by the end event that frees the nodes — which dirties the
+	// engine and forces a real pass. Time-varying priority scores may
+	// reorder the queue between ticks, but with nothing individually
+	// startable no ordering can conjure a start, and a held reservation
+	// pins reservation state. Policies that cannot make this promise
+	// leave it false.
+	Quiescent bool
+
+	// Mutated reports whether the pass changed any persistent cross-pass
+	// scheduler state — a protected reservation granted, released, or
+	// moved to a different job. Pass-local scratch, the report itself,
+	// and bookkeeping no future decision reads (a re-committed
+	// reservation's refreshed start instant) do not count.
+	//
+	// The event-mode fairness oracle consults it at phantom instants:
+	// instants where the main engine runs a scheduling pass but a
+	// deferred no-later-arrival world has no event at all (an extra
+	// job's arrival, a checkpoint). The deferred world skips that pass
+	// entirely, so it stays glued to the main schedule only if the pass
+	// both started nothing and left every piece of persistent scheduler
+	// state untouched. Schedulers that cannot make the distinction
+	// report true, and the deferred worlds resolve conservatively.
+	Mutated bool
 }
 
 // recyclePlan hands a finished pass's plan back to the machine's pool

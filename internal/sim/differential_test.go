@@ -253,32 +253,24 @@ func runDifferential(t *testing.T, cfg Config, jobs []*job.Job, fair bool) {
 		return
 	}
 	// Oracle equivalence: the incremental (deferred) oracle the batch run
-	// used, the eager hook that resolves every batch at its arrival pass,
-	// and the naive clone-everything reference must agree bit for bit —
-	// on the schedule and on every fair start.
-	for _, o := range []struct {
-		name  string
-		naive bool
-		eager bool
-	}{{"naive", true, false}, {"eager", false, true}} {
-		refCfg := cfg
-		refCfg.naiveOracle = o.naive
-		refCfg.eagerOracle = o.eager
-		ref, err := Run(refCfg, jobs)
-		if err != nil {
-			t.Fatalf("Run(%s oracle): %v", o.name, err)
-		}
-		if scheduleHash(ref) != scheduleHash(want) {
-			t.Errorf("%s-oracle schedule differs from incremental-oracle schedule", o.name)
-		}
-		if len(ref.FairStarts) != len(want.FairStarts) {
-			t.Fatalf("%s oracle knows %d fair starts, incremental %d",
-				o.name, len(ref.FairStarts), len(want.FairStarts))
-		}
-		for id, w := range want.FairStarts {
-			if g, ok := ref.FairStarts[id]; !ok || g != w {
-				t.Fatalf("job %d: %s fair start %v, incremental %v", id, o.name, g, w)
-			}
+	// used and the naive clone-everything reference must agree bit for
+	// bit — on the schedule and on every fair start.
+	refCfg := cfg
+	refCfg.naiveOracle = true
+	ref, err := Run(refCfg, jobs)
+	if err != nil {
+		t.Fatalf("Run(naive oracle): %v", err)
+	}
+	if scheduleHash(ref) != scheduleHash(want) {
+		t.Error("naive-oracle schedule differs from incremental-oracle schedule")
+	}
+	if len(ref.FairStarts) != len(want.FairStarts) {
+		t.Fatalf("naive oracle knows %d fair starts, incremental %d",
+			len(ref.FairStarts), len(want.FairStarts))
+	}
+	for id, w := range want.FairStarts {
+		if g, ok := ref.FairStarts[id]; !ok || g != w {
+			t.Fatalf("job %d: naive fair start %v, incremental %v", id, g, w)
 		}
 	}
 }

@@ -38,12 +38,10 @@ func unfairQuartet(base units.Time, id0 int) []*job.Job {
 //
 // Each profile runs in event and periodic mode — event mode is where
 // batches ride the main schedule across phantom instants and the
-// deferral frontier is walked hardest — and under both the deferred
-// (incremental) oracle and the eagerOracle hook that resolves every
-// batch at its arrival pass. All four combinations must agree exactly
-// with the naive clone-everything oracle, and the expected per-job
-// divergence is asserted so the workloads keep exercising the paths
-// they were built for.
+// deferral frontier is walked hardest. Both must agree exactly with the
+// naive clone-everything oracle, and the expected per-job divergence is
+// asserted so the workloads keep exercising the paths they were built
+// for.
 func TestFairOracleDivergenceProfiles(t *testing.T) {
 	sparse := func(id int, at units.Time) *job.Job {
 		return schedtest.J(id, at, 6, 50, 50)
@@ -90,72 +88,64 @@ func TestFairOracleDivergenceProfiles(t *testing.T) {
 			diverges: map[int]bool{1: false, 2: true, 3: false, 4: false, 5: false},
 		},
 	}
-	periods := []units.Duration{0, 10 * units.Second}
-	oracles := []struct {
-		name  string
-		eager bool
-	}{{"deferred", false}, {"eager", true}}
-
 	for _, p := range profiles {
-		for _, period := range periods {
-			for _, o := range oracles {
-				mode := "event"
-				if period > 0 {
-					mode = fmt.Sprintf("periodic-%ds", period)
-				}
-				t.Run(p.name+"/"+mode+"/"+o.name, func(t *testing.T) {
-					cfg := Config{
-						Machine:        machine.NewFlat(10),
-						Scheduler:      p.mk(),
-						SchedulePeriod: period,
-						Fairness:       true,
-						Paranoid:       true,
-					}
-					cfg.eagerOracle = o.eager
-					res, err := Run(cfg, p.jobs)
-					if err != nil {
-						t.Fatalf("Run: %v", err)
-					}
-
-					naiveCfg := cfg
-					naiveCfg.eagerOracle = false
-					naiveCfg.naiveOracle = true
-					naiveCfg.Scheduler = p.mk()
-					naive, err := Run(naiveCfg, p.jobs)
-					if err != nil {
-						t.Fatalf("Run(naive oracle): %v", err)
-					}
-					if scheduleHash(naive) != scheduleHash(res) {
-						t.Error("naive-oracle schedule differs from batched-oracle schedule")
-					}
-					if len(naive.FairStarts) != len(res.FairStarts) {
-						t.Fatalf("naive oracle knows %d fair starts, batched %d",
-							len(naive.FairStarts), len(res.FairStarts))
-					}
-					for id, w := range res.FairStarts {
-						if g, ok := naive.FairStarts[id]; !ok || g != w {
-							t.Errorf("job %d: naive fair start %v, batched %v", id, g, w)
-						}
-					}
-
-					byID := job.ByID(res.Jobs)
-					for id, wantDiverge := range p.diverges {
-						fair, ok := res.FairStarts[id]
-						if !ok {
-							t.Errorf("job %d has no fair start", id)
-							continue
-						}
-						j, ok := byID[id]
-						if !ok {
-							t.Fatalf("job %d missing from result", id)
-						}
-						if got := fair != j.Start; got != wantDiverge {
-							t.Errorf("job %d: fair start %v vs actual %v (diverges=%v), want diverges=%v",
-								id, fair, j.Start, got, wantDiverge)
-						}
-					}
-				})
+		for _, period := range []units.Duration{0, 10 * units.Second} {
+			mode := "event"
+			if period > 0 {
+				mode = fmt.Sprintf("periodic-%ds", period)
 			}
+			// "deferred" names the oracle under test (there is one; the
+			// suffix keeps the sub-test IDs stable).
+			t.Run(p.name+"/"+mode+"/deferred", func(t *testing.T) {
+				cfg := Config{
+					Machine:        machine.NewFlat(10),
+					Scheduler:      p.mk(),
+					SchedulePeriod: period,
+					Fairness:       true,
+					Paranoid:       true,
+				}
+				res, err := Run(cfg, p.jobs)
+				if err != nil {
+					t.Fatalf("Run: %v", err)
+				}
+
+				naiveCfg := cfg
+				naiveCfg.naiveOracle = true
+				naiveCfg.Scheduler = p.mk()
+				naive, err := Run(naiveCfg, p.jobs)
+				if err != nil {
+					t.Fatalf("Run(naive oracle): %v", err)
+				}
+				if scheduleHash(naive) != scheduleHash(res) {
+					t.Error("naive-oracle schedule differs from batched-oracle schedule")
+				}
+				if len(naive.FairStarts) != len(res.FairStarts) {
+					t.Fatalf("naive oracle knows %d fair starts, batched %d",
+						len(naive.FairStarts), len(res.FairStarts))
+				}
+				for id, w := range res.FairStarts {
+					if g, ok := naive.FairStarts[id]; !ok || g != w {
+						t.Errorf("job %d: naive fair start %v, batched %v", id, g, w)
+					}
+				}
+
+				byID := job.ByID(res.Jobs)
+				for id, wantDiverge := range p.diverges {
+					fair, ok := res.FairStarts[id]
+					if !ok {
+						t.Errorf("job %d has no fair start", id)
+						continue
+					}
+					j, ok := byID[id]
+					if !ok {
+						t.Fatalf("job %d missing from result", id)
+					}
+					if got := fair != j.Start; got != wantDiverge {
+						t.Errorf("job %d: fair start %v vs actual %v (diverges=%v), want diverges=%v",
+							id, fair, j.Start, got, wantDiverge)
+					}
+				}
+			})
 		}
 	}
 }

@@ -63,34 +63,13 @@ func (l *Live) SetNotify(fn Notify) { l.e.notify = fn }
 // long-lived session keeps bounded metric state — leave it off when the
 // full checkpoint series are wanted (tests, short replays).
 func NewLive(cfg Config, lean bool) (*Live, error) {
-	if cfg.Machine == nil {
-		return nil, errors.New("sim: no machine configured")
+	e, err := newEngine(cfg)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Scheduler == nil {
-		return nil, errors.New("sim: no scheduler configured")
-	}
-	if cfg.CheckInterval <= 0 {
-		cfg.CheckInterval = DefaultCheckInterval
-	}
-	if cfg.FairnessTolerance <= 0 {
-		cfg.FairnessTolerance = DefaultFairnessTolerance
-	}
-	m := cfg.Machine.Clone()
-	e := &engine{
-		cfg:        cfg,
-		machine:    m,
-		scheduler:  cfg.Scheduler.Clone(),
-		running:    make(map[*job.Job]machine.Alloc),
-		collector:  metrics.NewCollector(m.TotalNodes()),
-		fairStarts: make(map[int]units.Time),
-		dirty:      true,
-		keepGrids:  true,
-	}
+	e.keepGrids = true
 	if lean {
 		e.collector.SetLean(leanRetention)
-	}
-	if cfg.Paranoid {
-		e.initRecorder()
 	}
 	return &Live{e: e, jobs: make(map[int]*job.Job)}, nil
 }
@@ -134,15 +113,9 @@ func (l *Live) Submit(src *job.Job) (*job.Job, error) {
 	}
 	if l.e.events.Len() == 0 {
 		// First submission ever, or the first after a Drain wound the
-		// grids down: anchor the checkpoint grid (and, in periodic mode,
-		// the tick grid) at this submission, as the batch engine does at
-		// its first accepted job.
-		l.e.events.Push(j.Submit.Add(l.e.cfg.CheckInterval), evCheckpoint, nil)
-		l.e.nextCheck = j.Submit.Add(l.e.cfg.CheckInterval)
-		if l.e.cfg.SchedulePeriod > 0 {
-			l.e.events.Push(j.Submit, evTick, nil)
-			l.e.nextTick = j.Submit
-		}
+		// grids down: anchor the grids at this submission, as the batch
+		// engine does at its first accepted job.
+		l.e.anchorGrids(j.Submit)
 	}
 	l.e.events.Push(j.Submit, evArrive, j)
 	l.jobs[j.ID] = j

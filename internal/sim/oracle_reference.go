@@ -12,8 +12,9 @@ import (
 // cloned nested engine per target job, with pass elision disabled, as
 // the engine computed fair starts before the batched, reuse-everything
 // oracle existed. It is reachable only through the naiveOracle test
-// hook; the oracle-equivalence suite proves fairStartBatch produces
-// bit-identical fair starts.
+// hook; the oracle-equivalence suites prove fairOracle produces
+// bit-identical fair starts. It shares nothing with world.fork on
+// purpose — a reference built from the code under test proves nothing.
 func (e *engine) fairStartNaive(targets []*job.Job) {
 	for _, target := range targets {
 		sub := &engine{

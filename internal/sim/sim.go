@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 
 	"amjs/internal/eventq"
 	"amjs/internal/invariant"
@@ -64,9 +63,12 @@ type Config struct {
 	SchedulePeriod units.Duration
 
 	// Fairness enables the fair-start-time oracle: every submission
-	// spawns a nested no-later-arrival simulation under the current
-	// policy. Accurate but costly; leave off when the unfair-job count
-	// is not needed.
+	// gets the start it would have had if no job arrived after it, under
+	// the current policy. Most arrival batches resolve for free against
+	// the main schedule; only a batch the schedule diverges from pays
+	// for a nested no-later-arrival simulation (see fairOracle). Exact,
+	// but still the dominant cost of a run that enables it; leave off
+	// when the unfair-job count is not needed.
 	Fairness bool
 
 	// FairnessTolerance is the slack beyond the fair start before a job
@@ -102,13 +104,6 @@ type Config struct {
 	// oracle-equivalence suite proves both produce bit-identical fair
 	// starts.
 	naiveOracle bool
-
-	// eagerOracle forces the batched oracle to resolve every arrival
-	// batch at its own instant instead of deferring it against the main
-	// schedule. Test hook: the equivalence suite proves the deferred
-	// (incremental) oracle and the eager one produce bit-identical fair
-	// starts in both engine modes.
-	eagerOracle bool
 }
 
 // Result is the outcome of a simulation.
@@ -150,37 +145,14 @@ func (e *engine) whatIfStatus() *whatif.Status {
 // Run simulates the workload under the configuration. The input jobs
 // are cloned; the caller's slice is not modified.
 func Run(cfg Config, jobs []*job.Job) (*Result, error) {
-	if cfg.Machine == nil {
-		return nil, errors.New("sim: no machine configured")
+	e, err := newEngine(cfg)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Scheduler == nil {
-		return nil, errors.New("sim: no scheduler configured")
-	}
-	if cfg.CheckInterval <= 0 {
-		cfg.CheckInterval = DefaultCheckInterval
-	}
-	if cfg.FairnessTolerance <= 0 {
-		cfg.FairnessTolerance = DefaultFairnessTolerance
-	}
-
-	m := cfg.Machine.Clone()
-	// Pre-size the fair-start map for fairness runs: every accepted job
-	// gets exactly one entry, so the map never rehashes mid-run.
-	fairHint := 0
 	if cfg.Fairness {
-		fairHint = len(jobs)
-	}
-	e := &engine{
-		cfg:        cfg,
-		machine:    m,
-		scheduler:  cfg.Scheduler.Clone(),
-		running:    make(map[*job.Job]machine.Alloc),
-		collector:  metrics.NewCollector(m.TotalNodes()),
-		fairStarts: make(map[int]units.Time, fairHint),
-		dirty:      true,
-	}
-	if cfg.Paranoid {
-		e.initRecorder()
+		// Pre-size the fair-start map: every accepted job gets exactly
+		// one entry, so the map never rehashes mid-run.
+		e.fairStarts = make(map[int]units.Time, len(jobs))
 	}
 
 	// One arena holds every job clone: a year-scale trace is one
@@ -195,26 +167,22 @@ func Run(cfg Config, jobs []*job.Job) (*Result, error) {
 		clones = append(clones, *src)
 		j := &clones[len(clones)-1]
 		j.State = job.Submitted
-		if !m.CanFitEver(j.Nodes) {
+		if !e.machine.CanFitEver(j.Nodes) {
 			rejected = append(rejected, j)
 			continue
 		}
 		accepted = append(accepted, j)
 		e.events.Push(j.Submit, evArrive, j)
 	}
+	var first units.Time // the earliest accepted submission
 	if len(accepted) > 0 {
-		first := accepted[0].Submit
+		first = accepted[0].Submit
 		for _, j := range accepted {
 			if j.Submit < first {
 				first = j.Submit
 			}
 		}
-		e.events.Push(first.Add(cfg.CheckInterval), evCheckpoint, nil)
-		e.nextCheck = first.Add(cfg.CheckInterval)
-		if cfg.SchedulePeriod > 0 {
-			e.events.Push(first, evTick, nil)
-			e.nextTick = first
-		}
+		e.anchorGrids(first)
 	}
 
 	if err := e.run(nil); err != nil {
@@ -240,16 +208,13 @@ func Run(cfg Config, jobs []*job.Job) (*Result, error) {
 		WhatIf:        e.whatIfStatus(),
 	}
 	if len(accepted) > 0 {
-		firstSubmit, lastEnd := accepted[0].Submit, accepted[0].End
+		lastEnd := accepted[0].End
 		for _, j := range accepted {
-			if j.Submit < firstSubmit {
-				firstSubmit = j.Submit
-			}
 			if j.End > lastEnd {
 				lastEnd = j.End
 			}
 		}
-		res.Makespan = lastEnd.Sub(firstSubmit)
+		res.Makespan = lastEnd.Sub(first)
 	}
 	return res, nil
 }
@@ -266,7 +231,7 @@ type engine struct {
 	running    map[*job.Job]machine.Alloc
 	collector  *metrics.Collector
 	fairStarts map[int]units.Time
-	sub        bool                // nested fairness simulation: no checkpoints, no oracle
+	sub        bool                // a world's nested engine (see world.go): no retunes, no monitors, no oracle
 	stream     *streamState        // non-nil when arrivals come from a JobSource (RunStream)
 	processed  int                 // events handled since the last counter reset (livelock guard)
 	rec        *invariant.Recorder // Paranoid top-level runs: the schedule-validity trace
@@ -288,7 +253,7 @@ type engine struct {
 	lastDelta bool
 
 	// lastQuiet records whether the last executed pass declared itself
-	// quiescent (sched.PassQuiescer): started nothing and provably
+	// quiescent (sched.PassReport): started nothing and provably
 	// repeats as the same no-op on unchanged state at any later
 	// instant. While it holds and nothing dirties the engine, due
 	// passes are elided even when δ is true — the backfill-candidate-
@@ -306,24 +271,6 @@ type engine struct {
 	nextTick  units.Time
 	nextCheck units.Time
 
-	// pending holds the arrival batches whose fair starts the oracle has
-	// deferred, in arrival order — both engine modes defer. A batch
-	// stays glued to the main schedule — its no-later-arrival world IS
-	// the main schedule — until a divergence event: a scheduling pass
-	// that provably acts beyond its arrival instant (the scheduler-
-	// reported horizon; see sched.PassBounder and endPassDefer), in
-	// event mode a phantom instant whose pass started something or
-	// mutated persistent scheduler state (see sched.PassMutator), a
-	// cancellation that invalidates its world, or an adaptive retune
-	// that unfreezes the policy. A batch member that starts while its
-	// batch is glued resolves for free in begin: its fair start is its
-	// actual start.
-	pending []pendingBatch
-
-	// batchFree recycles retired pendingBatch job slices, so a steady
-	// fairness workload stops allocating one slice per arrival instant.
-	batchFree [][]*job.Job
-
 	// endedNow records whether a completion event fired at the instant
 	// being processed. Valid only within step (cancelQueued runs between
 	// steps and must not consult it): the event-mode oracle uses it to
@@ -332,50 +279,64 @@ type engine struct {
 	// (arrivals of extras, checkpoints) is not.
 	endedNow bool
 
-	// Deferred-pass scratch (see beginPassDefer): the pre-pass queue
-	// snapshot, the pre-pass scheduler clone, and the starts the pass
-	// performed so far, kept so a batch that diverges mid-pass can fork
-	// its fair world from the exact pre-pass state. passDefer gates
-	// begin's side-effect deferral while a snapshot is live.
-	passQueue  []*job.Job
-	passSched  sched.Scheduler
-	passBegins []passBegin
-	passDefer  bool
+	// fair is the fairness oracle's state (oracle.go); idle unless
+	// cfg.Fairness is set, and never used by a nested engine.
+	fair fairOracle
 
-	// Scratch reused across instants and oracle runs.
+	// Scratch reused across instants.
 	arrived  []*job.Job // jobs that arrived at the current instant
-	oracle   *engine    // one nested fairness engine, reset per batch
-	arena    []job.Job  // clone storage for one oracle run
-	orderBuf []*job.Job // deterministic ordering of the running set
-	tclones  []*job.Job // clones of the oracle batch's target jobs
+	orderBuf []*job.Job // the running set, for checkInvariants
 
-	// What-if lookahead scratch (see whatif.go): one private fork per
+	// What-if lookahead scratch (see whatif.go): one private world per
 	// candidate slot, reused across checkpoints, plus the rollout
 	// result buffer handed to the planner.
-	laForks []*lookaheadFork
-	laOut   []sched.Rollout
+	laWorlds []world
+	laOut    []sched.Rollout
 }
 
-// pendingBatch is one arrival instant's deferred fair-start batch: the
-// jobs that arrived at instant t and still await their fair start.
-type pendingBatch struct {
-	t    units.Time
-	jobs []*job.Job
+// newEngine builds a top-level engine for cfg: validation, defaults,
+// private machine and scheduler clones, the collector, and the validity
+// recorder of a Paranoid run.
+func newEngine(cfg Config) (*engine, error) {
+	if cfg.Machine == nil {
+		return nil, errors.New("sim: no machine configured")
+	}
+	if cfg.Scheduler == nil {
+		return nil, errors.New("sim: no scheduler configured")
+	}
+	if cfg.CheckInterval <= 0 {
+		cfg.CheckInterval = DefaultCheckInterval
+	}
+	if cfg.FairnessTolerance <= 0 {
+		cfg.FairnessTolerance = DefaultFairnessTolerance
+	}
+	m := cfg.Machine.Clone()
+	e := &engine{
+		cfg:        cfg,
+		machine:    m,
+		scheduler:  cfg.Scheduler.Clone(),
+		running:    make(map[*job.Job]machine.Alloc),
+		collector:  metrics.NewCollector(m.TotalNodes()),
+		fairStarts: make(map[int]units.Time),
+		dirty:      true,
+	}
+	e.fair.e = e
+	if cfg.Paranoid {
+		e.initRecorder()
+	}
+	return e, nil
 }
 
-// passBegin records one start performed during a deferring scheduling
-// pass: enough to rewind it when forking a fair world from the pre-pass
-// state, and to flush its accounting once the pass's horizon is known.
-type passBegin struct {
-	j *job.Job
-	a machine.Alloc
-}
-
-// scratchAdopter is implemented by schedulers whose fresh clones can
-// transplant warm scratch buffers from a retired clone of the same
-// scheduler (core.MetricAware and its tuner do).
-type scratchAdopter interface {
-	AdoptScratch(sched.Scheduler)
+// anchorGrids arms the checkpoint grid and, in periodic mode, the tick
+// grid at the first accepted submission — of the trace, of the stream,
+// or of a Live session whose grids had wound down.
+func (e *engine) anchorGrids(first units.Time) {
+	e.nextCheck = first.Add(e.cfg.CheckInterval)
+	e.events.Push(e.nextCheck, evCheckpoint, nil)
+	if e.cfg.SchedulePeriod > 0 {
+		e.nextTick = first
+		e.events.Push(first, evTick, nil)
+	}
 }
 
 // run drives the event loop until no events remain or stop returns true
@@ -471,37 +432,14 @@ func (e *engine) step() (bool, error) {
 		}
 	}
 
-	// Fairness oracle: fair start times are defined at submission,
-	// before this instant's scheduling pass. All jobs arriving at one
-	// instant see the same no-later-arrival world, so one nested run
-	// serves the whole batch.
-	//
-	// The batched oracle defers instead of simulating, in both engine
-	// modes: until a divergence event the no-later-arrival world IS the
-	// main schedule, and a pending job that starts before one is
-	// resolved in begin without any nested simulation. In periodic mode
-	// the fair world runs on the same tick and checkpoint grids as the
-	// main engine, and the divergence events are a pass that provably
-	// acts beyond the batch's arrival instant, a cancellation, and an
-	// adaptive retune. In event mode the fair world is the closed
-	// system whose passes fire exactly at the batch's own arrival and
-	// at job completions — every one of which is also a main-engine
-	// pass instant — so the same horizon test applies there, plus one
-	// extra frontier: a phantom instant, where the main engine passes
-	// but the closed world has no event at all, diverges a glued batch
-	// unless that pass both started nothing and left persistent
-	// scheduler state untouched (see endPassDefer and
-	// sched.PassMutator).
+	// Fair start times are defined at submission, before this instant's
+	// scheduling pass: the oracle takes the arrival batch and defers it
+	// (see fairOracle); the reference resolves it here, a job at a time.
 	if e.cfg.Fairness && !e.sub && len(e.arrived) > 0 {
 		if e.cfg.naiveOracle {
 			e.fairStartNaive(e.arrived)
-		} else if e.cfg.eagerOracle {
-			e.fairStartBatch(e.arrived)
 		} else {
-			e.pending = append(e.pending, pendingBatch{
-				t:    e.now,
-				jobs: e.newBatch(e.arrived),
-			})
+			e.fair.arrive(e.arrived)
 		}
 	}
 
@@ -535,13 +473,7 @@ func (e *engine) step() (bool, error) {
 			}
 		}
 		if ad, ok := e.scheduler.(sched.Adaptive); ok {
-			// An adaptive retune is a divergence frontier: pending fair
-			// worlds keep the policy frozen as it was at their arrival,
-			// which until here equals the live policy. Resolve them
-			// against the shared prefix before the tuning changes.
-			if len(e.pending) > 0 {
-				e.resolvePending()
-			}
+			e.fair.beforeRetune() // deferred fair worlds keep the policy as it is now
 			ad.Checkpoint(e, e)
 		}
 		if e.rec != nil {
@@ -571,22 +503,14 @@ func (e *engine) step() (bool, error) {
 	ran := false
 	if e.cfg.SchedulePeriod <= 0 || tick || checkpoint {
 		if e.cfg.disableElision || e.dirty || (e.lastDelta && !e.lastQuiet) {
-			// With deferred fair-start batches outstanding, snapshot the
-			// pre-pass state so a batch the pass diverges from can fork
-			// its fair world.
-			deferring := len(e.pending) > 0
-			if deferring {
-				e.beginPassDefer()
-			}
+			// The oracle brackets the pass: with deferred batches
+			// outstanding it snapshots the pre-pass state, and afterwards
+			// forks the fair world of each batch the pass diverged from.
+			e.fair.beginPass()
 			e.scheduler.Schedule(e)
 			ran = true
-			if deferring {
-				e.endPassDefer(checkpoint)
-			}
-			e.lastQuiet = false
-			if q, ok := e.scheduler.(sched.PassQuiescer); ok {
-				e.lastQuiet = q.LastPassQuiescent()
-			}
+			e.fair.endPass(checkpoint)
+			e.lastQuiet = passReport(e.scheduler).Quiescent
 		}
 	}
 	// δ is recomputed whenever the state could differ from the value
@@ -644,33 +568,7 @@ func (e *engine) step() (bool, error) {
 // longer be elided — the freed reservation may unblock backfill even
 // though no nodes changed state.
 func (e *engine) cancelQueued(j *job.Job) {
-	// A cancellation diverges exactly the deferred fair worlds that
-	// contain the cancelled job: the batches that arrived at or after
-	// its submission. Those resolve now, from the still-shared prefix —
-	// with the job still queued, exactly as their closed no-later-
-	// arrival worlds have it. Earlier batches keep deferring: to them
-	// the cancelled job was an extra (submitted after their instant),
-	// and removing an extra only shrinks the set of passes that can
-	// diverge. (It cannot hold a reservation their worlds lack: a pass
-	// granting one would have reported a horizon past their instant and
-	// resolved them then.) Batches are in arrival order, so the suffix
-	// starting at the first t >= Submit is the affected set.
-	if len(e.pending) > 0 {
-		i := 0
-		for i < len(e.pending) && e.pending[i].t < j.Submit {
-			i++
-		}
-		// forkPass is false: cancellation happens between steps, after
-		// the last instant's pass already ran — and for a glued batch the
-		// closed world ran that pass too (or provably skipped it). A
-		// fork-instant pass here would run a second pass on the post-pass
-		// state, which the closed world never does.
-		for _, b := range e.pending[i:] {
-			e.fairWorld(b.jobs, e.queue.jobs(), b.t, e.scheduler, nil, e.nextTick, e.nextCheck, false)
-			e.retireBatch(b.jobs)
-		}
-		e.pending = e.pending[:i]
-	}
+	e.fair.cancelling(j) // while j is still queued, as the worlds it diverges have it
 	e.queue.remove(j)
 	j.State = job.Cancelled
 	e.dirty = true
@@ -708,6 +606,16 @@ func (e *engine) trace(format string, args ...any) {
 		return
 	}
 	fmt.Fprintf(e.cfg.Trace, "%10d %s\n", int64(e.now), fmt.Sprintf(format, args...))
+}
+
+// passReport reads the scheduler's report on the pass it just ran. A
+// scheduler that makes none gets the conservative reading of every
+// field: unbounded, not quiescent, assumed to have mutated state.
+func passReport(s sched.Scheduler) sched.PassReport {
+	if r, ok := s.(sched.PassReporter); ok {
+		return r.LastPass()
+	}
+	return sched.PassReport{Mutated: true}
 }
 
 // tunables extracts the scheduler's current policy parameters when it
@@ -805,11 +713,7 @@ func (e *engine) begin(j *job.Job, a machine.Alloc) {
 	e.running[j] = a
 	e.queue.remove(j)
 	e.dirty = true
-	effective := j.Runtime
-	if effective > j.Walltime {
-		effective = j.Walltime // killed at the limit
-	}
-	e.events.Push(e.now.Add(effective), evEnd, j)
+	e.events.Push(e.now.Add(effectiveRuntime(j)), evEnd, j)
 	if e.cfg.Trace != nil {
 		e.trace("start job=%d nodes=%d wait=%v", j.ID, j.Nodes, j.Wait())
 	}
@@ -820,27 +724,25 @@ func (e *engine) begin(j *job.Job, a machine.Alloc) {
 	if e.notify != nil {
 		e.notify(e.now, j, job.Running)
 	}
-	if e.passDefer {
-		// Fairness accounting waits for the pass to finish: whether this
-		// start resolves for free or against a forked fair world is only
-		// known once the pass's horizon is in (see endPassDefer).
-		e.passBegins = append(e.passBegins, passBegin{j, a})
-		return
+	if !e.fair.deferStart(j, a) {
+		e.beginEffects(j, a)
 	}
-	e.beginEffects(j, a)
+}
+
+// effectiveRuntime is how long a started job holds its nodes: its
+// runtime, cut short at the walltime limit, where it is killed.
+func effectiveRuntime(j *job.Job) units.Duration {
+	return min(j.Runtime, j.Walltime)
 }
 
 // beginEffects performs the accounting and reporting side of a start:
 // the free-path fair-start resolution of a still-deferred job, the
 // validity trace's start record, and the collector update. During a
-// deferring pass these run at endPassDefer, after any diverged batch
-// has resolved, so the values recorded here are final.
+// deferring pass these run at the oracle's endPass, after any diverged
+// batch has resolved, so the values recorded here are final.
 func (e *engine) beginEffects(j *job.Job, a machine.Alloc) {
-	// A deferred job starting while its batch is still glued resolves
-	// for free: its no-later-arrival world is the main schedule itself,
-	// so its fair start is its actual start.
-	if e.dropPending(j) {
-		e.fairStarts[j.ID] = e.now
+	if e.fair.startedGlued(j) {
+		e.fairStarts[j.ID] = e.now // the free path: the fair start is the actual start
 	}
 	fair, known := e.fairStarts[j.ID]
 	if e.rec != nil {
@@ -874,492 +776,4 @@ func (e *engine) QueueDepthMinutes() float64 {
 // UtilWindowAvg implements sched.MetricsView.
 func (e *engine) UtilWindowAvg(w units.Duration) float64 {
 	return e.collector.UtilWindowAvg(e.now, w)
-}
-
-// fairStartBatch computes the fair start time of every job in targets —
-// the batch of jobs that arrived at the current instant — eagerly, from
-// the current state. This is the eagerOracle test hook's path (and the
-// semantics every deferred batch ultimately reproduces): the fork
-// instant is the targets' own arrival, a pass instant of the closed
-// world by construction.
-func (e *engine) fairStartBatch(targets []*job.Job) {
-	e.fairWorld(targets, e.queue.jobs(), e.now, e.scheduler, nil, e.nextTick, e.nextCheck, true)
-}
-
-// fairWorld simulates one no-later-arrival world and records the fair
-// start of every job in targets in e.fairStarts. A job's fair start is
-// the start it would get if no job arrived after it, under the current
-// policy with its current tuning, from the current machine state (Sabin
-// et al.'s definition, as used by the paper). The nested run fires no
-// checkpoints, so adaptive policies stay frozen.
-//
-// The world is built from queueView filtered to jobs submitted at or
-// before cutoff (targets must be a subsequence of that filtered view in
-// arrival order), the scheduler cloned from schedSrc, and the current
-// machine and running set with the starts in begun rewound — begun
-// carries the starts a mid-resolution scheduling pass already performed
-// that the forked world, diverging from that very pass, must not see.
-// In periodic mode the world keeps scheduling on the main engine's tick
-// and checkpoint grids, re-entered at tickAt and checkAt. In event mode
-// forkPass tells the world whether it has a scheduling pass at the fork
-// instant (the targets' own arrival, or a completion fired here): a
-// deferred batch forked at one of its phantom instants must not run a
-// pass the closed world never had.
-//
-// Jobs arriving at one instant are all already queued when the oracle
-// runs, so each one's no-later-arrival world is the same simulation;
-// one deterministic nested run therefore yields every batch member's
-// fair start, bit-identical to running the oracle per job.
-//
-// The nested engine, its event heap, its queue storage, and the job
-// clones (one arena per run) are reused across runs, so a steady
-// fairness workload allocates only the machine and scheduler clones.
-func (e *engine) fairWorld(targets, queueView []*job.Job, cutoff units.Time,
-	schedSrc sched.Scheduler, begun []passBegin, tickAt, checkAt units.Time, forkPass bool) {
-	sub := e.seedWorld(targets, queueView, cutoff, schedSrc, begun)
-	e.seedGrids(sub, tickAt, checkAt, forkPass)
-	e.runWorld(sub, targets, nil)
-}
-
-// seedGrids arms a freshly seeded fair world's scheduling events. In
-// periodic mode the world keeps scheduling on the main engine's tick
-// and checkpoint grids (checkpoints force a pass but never retune in a
-// nested run — the policy stays frozen); the caller passes the grid
-// instants as of the fork point, so a grid event mid-processing in the
-// main step re-enters at the current instant and the nested run
-// reproduces the pass the main engine is executing or about to execute.
-//
-// Event-driven mode schedules after every event batch, and when the
-// fork instant is such a batch in the closed world — the targets' own
-// arrival, or a completion that fired here — the fork must execute a
-// pass at it, or a target the closed world could start immediately sits
-// queued until the next completion (or forever, on an otherwise idle
-// machine — the fork's heap would be empty and the run would exit
-// without ever scheduling). The tick is not re-armed when the period is
-// zero, so it fires exactly once. A fork at a phantom instant (forkPass
-// false) seeds nothing: the closed world's next pass is its next
-// completion.
-func (e *engine) seedGrids(sub *engine, tickAt, checkAt units.Time, forkPass bool) {
-	if e.cfg.SchedulePeriod > 0 {
-		sub.events.Push(tickAt, evTick, nil)
-		sub.events.Push(checkAt, evCheckpoint, nil)
-	} else if forkPass {
-		sub.events.Push(e.now, evTick, nil)
-	}
-}
-
-// runWorld drives a seeded fair world until every target has started
-// and records the targets' fair starts. A non-nil firstErr (from a
-// caller that already stepped the world) skips the run and records the
-// failure outcome directly.
-func (e *engine) runWorld(sub *engine, targets []*job.Job, firstErr error) {
-	tclones := e.tclones
-	err := firstErr
-	if err == nil {
-		err = sub.run(func() bool {
-			for _, c := range tclones {
-				if c.State == job.Queued {
-					return false
-				}
-			}
-			return true
-		})
-	}
-	for i, t := range targets {
-		c := tclones[i]
-		if err != nil || (c.State != job.Running && c.State != job.Finished && c.State != job.Killed) {
-			e.fairStarts[t.ID] = units.Forever // should not happen: the queue always drains
-			continue
-		}
-		e.fairStarts[t.ID] = c.Start
-	}
-}
-
-// seedWorld builds (or rebuilds, reusing the nested engine and its
-// buffers) one no-later-arrival world at the current instant: the
-// machine cloned with the starts in begun rewound, the scheduler cloned
-// from schedSrc, and queueView filtered to jobs submitted at or before
-// cutoff, all cloned into the arena. No events are seeded; the caller
-// decides whether the world runs a full nested simulation (fairWorld)
-// or a single replayed pass (passEchoes).
-func (e *engine) seedWorld(targets, queueView []*job.Job, cutoff units.Time,
-	schedSrc sched.Scheduler, begun []passBegin) *engine {
-	sub := e.oracle
-	if sub == nil {
-		sub = &engine{
-			running: make(map[*job.Job]machine.Alloc),
-			sub:     true,
-		}
-		e.oracle = sub
-	}
-	prev := sub.scheduler
-	sub.cfg = e.cfg
-	sub.cfg.Trace = nil // nested runs never touch the trace path
-	sub.now = e.now
-	sub.machine = machine.CloneMachineInto(e.machine, sub.machine)
-	// Rewind the deferring pass's starts: the fork is from the exact
-	// pre-pass state, so the nodes those starts occupied are free again
-	// and the jobs return to the queue (below).
-	for _, pb := range begun {
-		sub.machine.Release(pb.a, e.now)
-	}
-	sub.scheduler = schedSrc.Clone()
-	if ad, ok := sub.scheduler.(scratchAdopter); ok && prev != nil {
-		ad.AdoptScratch(prev)
-	}
-	sub.collector = e.collector // read-only use; never written in sub runs
-	sub.events.Reset()
-	sub.queue.reset()
-	clear(sub.running)
-	sub.dirty = true
-	sub.lastDelta = false
-	sub.lastQuiet = false
-
-	wasBegun := func(j *job.Job) bool {
-		for _, pb := range begun {
-			if pb.j == j {
-				return true
-			}
-		}
-		return false
-	}
-
-	// Clone the live jobs into the arena (the queue view and the seeded
-	// running set are disjoint). The arena is sized up front so the
-	// pointers handed to the sub-engine stay valid as it fills; the
-	// headroom keeps a slowly growing system from reallocating it on
-	// every oracle run.
-	n := len(queueView) + len(e.running)
-	if cap(e.arena) < n {
-		e.arena = make([]job.Job, 0, n+n/2+8)
-	}
-	arena := e.arena[:0]
-
-	if cap(e.tclones) < len(targets) {
-		e.tclones = make([]*job.Job, 0, len(targets)+8)
-	}
-	e.tclones = e.tclones[:0]
-	ti := 0
-	for _, j := range queueView {
-		if j.Submit > cutoff {
-			continue // an extra: the closed world never sees it
-		}
-		arena = append(arena, *j)
-		c := &arena[len(arena)-1]
-		if wasBegun(j) {
-			// The deferring pass started it; the fork has it waiting.
-			c.State = job.Queued
-			c.Start = 0
-		}
-		sub.queue.push(c)
-		if ti < len(targets) && j == targets[ti] {
-			e.tclones = append(e.tclones, c)
-			ti++
-		}
-	}
-	if ti != len(targets) {
-		panic("sim: oracle targets missing from the queue")
-	}
-
-	// Seed the running jobs' end events in ID order: the heap breaks
-	// same-instant ties by insertion sequence, so a deterministic
-	// insertion order keeps nested runs reproducible.
-	e.orderBuf = e.orderBuf[:0]
-	for j := range e.running {
-		if wasBegun(j) {
-			continue // rewound above; re-queued via queueView
-		}
-		e.orderBuf = append(e.orderBuf, j)
-	}
-	sort.Slice(e.orderBuf, func(i, k int) bool { return e.orderBuf[i].ID < e.orderBuf[k].ID })
-	for _, j := range e.orderBuf {
-		arena = append(arena, *j)
-		c := &arena[len(arena)-1]
-		sub.running[c] = e.running[j] // machine clone preserves allocation handles
-		effective := c.Runtime
-		if effective > c.Walltime {
-			effective = c.Walltime
-		}
-		sub.events.Push(c.Start.Add(effective), evEnd, c)
-	}
-	e.arena = arena
-	return sub
-}
-
-// resolveOrEcho handles a batch the pass horizon could not keep glued:
-// the horizon is conservative, so before paying for a full fair-world
-// resolution the engine replays the deferring pass in the batch's
-// restricted world and compares outcomes exactly — the same jobs
-// started on the same nodes, the same persistent scheduler state. An
-// echo (identical outcome) means the closed world runs this pass to the
-// same effect as the main engine's, the glue invariant survives, and
-// the batch keeps riding the main schedule for free; resolveOrEcho
-// reports true and the discarded replay is the only cost. On a genuine
-// divergence nothing is wasted either: the replayed world, seeded from
-// the same pre-pass snapshot a fork would use and already one step past
-// the fork instant, simply keeps running as the batch's fair world.
-//
-// The replay executes through sub.step, so both engine modes reproduce
-// the fork-instant pass bit-exactly (grids, elision bookkeeping, event
-// drains) with no duplicated step logic. Diverge candidates only reach
-// here at shared pass instants — in event mode a completion instant or
-// the batch's own arrival — so the closed world provably has a pass at
-// this instant and the replay is meaningful.
-func (e *engine) resolveOrEcho(b pendingBatch, checkpoint bool) (glued bool) {
-	echoable := true
-	for _, pb := range e.passBegins {
-		if pb.j.Submit > b.t {
-			echoable = false // the pass started an extra: genuinely diverged
-			break
-		}
-	}
-	checkAt := e.nextCheck
-	if checkpoint {
-		checkAt = e.now
-	}
-	sub := e.seedWorld(b.jobs, e.passQueue, b.t, e.passSched, e.passBegins)
-	e.seedGrids(sub, e.nextTick, checkAt, true)
-	_, err := sub.step()
-	if err == nil && echoable && e.passEchoed(sub) {
-		return true
-	}
-	e.runWorld(sub, b.jobs, err)
-	return false
-}
-
-// passEchoed reports whether the restricted world's fork-instant pass
-// (just executed in sub) reproduced the main engine's deferring pass
-// exactly: the same jobs started on the same physical nodes, and the
-// same persistent scheduler state afterwards. The replay's allocation
-// handles are fresh (handles are sequence numbers), so placement is
-// compared by footprint where the machine exposes one; on
-// placement-free machines (flat) the started-job set alone determines
-// the state.
-func (e *engine) passEchoed(sub *engine) bool {
-	started := 0
-	for c, a := range sub.running {
-		if c.Start != e.now {
-			continue // seeded from the pre-pass running set
-		}
-		started++
-		match := false
-		for _, pb := range e.passBegins {
-			if pb.j.ID == c.ID {
-				match = sameFootprint(e.machine, pb.a, sub.machine, a)
-				break
-			}
-		}
-		if !match {
-			return false
-		}
-	}
-	if started != len(e.passBegins) {
-		return false
-	}
-
-	// Same persistent scheduler state. Reservation holders expose
-	// theirs for comparison; otherwise both passes must prove they
-	// mutated nothing (sched.PassMutator). Anything else is unknowable
-	// from outside, so the batch resolves.
-	if mh, ok := e.scheduler.(invariant.ReservationHolder); ok {
-		sh, ok := sub.scheduler.(invariant.ReservationHolder)
-		if !ok {
-			return false
-		}
-		mi, mt, mheld := mh.ProtectedReservation()
-		si, st, sheld := sh.ProtectedReservation()
-		return mi == si && mt == st && mheld == sheld
-	}
-	mm, mok := e.scheduler.(sched.PassMutator)
-	sm, sok := sub.scheduler.(sched.PassMutator)
-	return mok && sok && !mm.LastPassMutatedState() && !sm.LastPassMutatedState()
-}
-
-// sameFootprint reports whether two allocations on two machine
-// instances occupy the same physical units.
-func sameFootprint(m1 machine.Machine, a1 machine.Alloc, m2 machine.Machine, a2 machine.Alloc) bool {
-	f1, ok1 := m1.(machine.Footprinter)
-	f2, ok2 := m2.(machine.Footprinter)
-	if !ok1 || !ok2 {
-		return ok1 == ok2 // placement-free machines have no footprint to differ
-	}
-	u1, p1, ok1 := f1.AllocUnits(a1)
-	u2, p2, ok2 := f2.AllocUnits(a2)
-	if !ok1 || !ok2 || p1 != p2 || len(u1) != len(u2) {
-		return false
-	}
-	for i := range u1 {
-		if u1[i] != u2[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// newBatch copies jobs into a recycled (or fresh) batch slice.
-func (e *engine) newBatch(jobs []*job.Job) []*job.Job {
-	var b []*job.Job
-	if k := len(e.batchFree); k > 0 {
-		b, e.batchFree = e.batchFree[k-1], e.batchFree[:k-1]
-	}
-	return append(b, jobs...)
-}
-
-// retireBatch returns a resolved batch's job slice to the freelist.
-func (e *engine) retireBatch(b []*job.Job) {
-	if cap(b) > 0 {
-		e.batchFree = append(e.batchFree, b[:0])
-	}
-}
-
-// dropPending removes j from whichever deferred batch holds it,
-// dropping the batch when it empties, and reports whether it was found.
-// Found means the job started while its batch was still glued to the
-// main schedule, so the free path applies: its fair start is its actual
-// start.
-func (e *engine) dropPending(j *job.Job) bool {
-	for bi := range e.pending {
-		b := &e.pending[bi]
-		for i, p := range b.jobs {
-			if p == j {
-				b.jobs = append(b.jobs[:i], b.jobs[i+1:]...)
-				if len(b.jobs) == 0 {
-					e.retireBatch(b.jobs)
-					e.pending = append(e.pending[:bi], e.pending[bi+1:]...)
-				}
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// beginPassDefer snapshots the pre-pass state before a scheduling pass
-// that executes with deferred fair-start batches outstanding: the queue
-// as the pass sees it and the scheduler as it is before the pass
-// mutates it. If the pass then acts beyond a batch's arrival instant,
-// that batch's fair world forks from this snapshot (resolveBatch);
-// begin defers its accounting while the snapshot is live so the flush
-// happens only after diverged batches are resolved.
-func (e *engine) beginPassDefer() {
-	e.passQueue = append(e.passQueue[:0], e.queue.jobs()...)
-	e.passSched = e.scheduler.Clone()
-	e.passBegins = e.passBegins[:0]
-	e.passDefer = true
-}
-
-// endPassDefer decides, after a deferring pass, which batches the pass
-// diverged from. With a sched.PassBounder the test is one comparison:
-// the reported horizon H guarantees the pass would have produced the
-// identical outcome (same starts, same placements, same post-pass
-// scheduler state) on any sub-queue extending to H, so a batch at
-// instant t stays glued iff H <= t. Other schedulers fall back to
-// "extras existed": any pass that saw a job submitted after the batch's
-// instant diverges it.
-//
-// Event mode adds the phantom-instant rule. A glued batch's closed
-// world passes exactly at its own arrival instant and at completion
-// instants — completions seed its heap and dirty it, and while glued it
-// runs no extras, so every end event it sees the main engine sees too.
-// An instant with no completion is therefore a phantom to every older
-// batch (its extra-arrival and checkpoint events do not exist in the
-// closed world): the main engine passes, the closed world does not. The
-// batch survives a phantom pass only when that pass provably changed
-// nothing — started no job and mutated no persistent scheduler state
-// (sched.PassMutator; schedulers without it are assumed to mutate) — so
-// that skipping it, as the closed world does, is the same as running
-// it. A batch born at this very instant is never phantom-diverged (its
-// world passes here by construction) and cannot horizon-diverge either:
-// every queued submit is <= now = its t.
-//
-// Diverged batches fork from the pre-pass snapshot; the rest keep
-// riding the main schedule for free. Finally the deferred begin effects
-// flush, so a batch member that started in this very pass is accounted
-// with its resolved fair start.
-func (e *engine) endPassDefer(checkpoint bool) {
-	e.passDefer = false
-	horizon := units.Time(0)
-	bounded := false
-	if pb, ok := e.scheduler.(sched.PassBounder); ok {
-		horizon, bounded = pb.LastPassHorizon()
-	}
-	if !bounded && len(e.passQueue) > 0 {
-		horizon = e.passQueue[len(e.passQueue)-1].Submit
-	}
-	mutated := true
-	if pm, ok := e.scheduler.(sched.PassMutator); ok {
-		mutated = pm.LastPassMutatedState()
-	}
-	kept := e.pending[:0]
-	for _, b := range e.pending {
-		diverged := false
-		if e.cfg.SchedulePeriod <= 0 && !e.endedNow && b.t < e.now {
-			// A phantom instant for this batch: its closed world has no
-			// event here and runs no pass at all. The glue survives
-			// exactly when the pass provably changed nothing — started
-			// no job and mutated no persistent scheduler state — so
-			// that skipping it, as the closed world does, is the same
-			// as running it. The horizon is irrelevant here: it bounds
-			// the outcome of a pass the closed world never runs.
-			diverged = len(e.passBegins) > 0 || mutated
-			if diverged {
-				e.resolveBatch(b, checkpoint)
-			}
-		} else if horizon > b.t {
-			// The horizon cannot rule divergence out; replay the pass
-			// in the batch's restricted world and compare exactly. An
-			// echo keeps the batch glued; a mismatch means the replayed
-			// world is already resolving it.
-			diverged = !e.resolveOrEcho(b, checkpoint)
-		}
-		if diverged {
-			e.retireBatch(b.jobs)
-		} else {
-			kept = append(kept, b)
-		}
-	}
-	e.pending = kept
-	for _, pb := range e.passBegins {
-		e.beginEffects(pb.j, pb.a)
-	}
-	e.passBegins = e.passBegins[:0]
-	e.passSched = nil
-}
-
-// resolveBatch simulates one diverged batch's no-later-arrival world,
-// forked from the pre-pass snapshot the deferring pass captured. The
-// grids re-enter at the engine's armed instants, with one asymmetry
-// from step's ordering: the checkpoint grid re-arms before the pass, so
-// when this instant's checkpoint already fired the fork must re-inject
-// a checkpoint at now to force the pass the main engine just ran; the
-// tick grid re-arms after the pass, so nextTick still holds this
-// instant when a tick fired. In event mode the fork seeds its own pass
-// at the fork instant exactly when the closed world has one here: a
-// completion fired, or the batch was born at this instant — at a pure
-// phantom instant the closed world schedules nothing until its next
-// completion.
-func (e *engine) resolveBatch(b pendingBatch, checkpoint bool) {
-	checkAt := e.nextCheck
-	if checkpoint {
-		checkAt = e.now
-	}
-	e.fairWorld(b.jobs, e.passQueue, b.t, e.passSched, e.passBegins, e.nextTick, checkAt,
-		e.endedNow || b.t == e.now)
-}
-
-// resolvePending resolves every deferred batch against the current
-// state — the adaptive-retune divergence: pending fair worlds keep the
-// policy frozen as it was at their arrival, which up to here equals the
-// live policy (any earlier retune would have resolved them already).
-// The engine calls it from the checkpoint block before the tuning
-// changes; at that point neither grid has re-armed, so nextTick and
-// nextCheck still hold any grid instant that fired at now and the forks
-// replay this instant's pass under the frozen policy.
-func (e *engine) resolvePending() {
-	for _, b := range e.pending {
-		e.fairWorld(b.jobs, e.queue.jobs(), b.t, e.scheduler, nil, e.nextTick, e.nextCheck,
-			e.endedNow || b.t == e.now)
-		e.retireBatch(b.jobs)
-	}
-	e.pending = e.pending[:0]
 }

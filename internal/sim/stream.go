@@ -9,8 +9,6 @@ import (
 	"io"
 
 	"amjs/internal/job"
-	"amjs/internal/machine"
-	"amjs/internal/metrics"
 	"amjs/internal/units"
 )
 
@@ -67,38 +65,16 @@ type streamState struct {
 // and Result.FairStarts holds only jobs that have not yet started. sink
 // must not retain the engine's clock — it is called mid-simulation.
 func RunStream(cfg Config, src JobSource, sink func(*job.Job)) (*Result, error) {
-	if cfg.Machine == nil {
-		return nil, errors.New("sim: no machine configured")
-	}
-	if cfg.Scheduler == nil {
-		return nil, errors.New("sim: no scheduler configured")
+	e, err := newEngine(cfg)
+	if err != nil {
+		return nil, err
 	}
 	if src == nil {
 		return nil, errors.New("sim: no job source configured")
 	}
-	if cfg.CheckInterval <= 0 {
-		cfg.CheckInterval = DefaultCheckInterval
-	}
-	if cfg.FairnessTolerance <= 0 {
-		cfg.FairnessTolerance = DefaultFairnessTolerance
-	}
-
-	m := cfg.Machine.Clone()
-	e := &engine{
-		cfg:        cfg,
-		machine:    m,
-		scheduler:  cfg.Scheduler.Clone(),
-		running:    make(map[*job.Job]machine.Alloc),
-		collector:  metrics.NewCollector(m.TotalNodes()),
-		fairStarts: make(map[int]units.Time),
-		dirty:      true,
-		stream:     &streamState{src: src, sink: sink},
-	}
+	e.stream = &streamState{src: src, sink: sink}
 	if sink != nil {
 		e.collector.SetLean(leanRetention)
-	}
-	if cfg.Paranoid {
-		e.initRecorder()
 	}
 
 	if err := e.run(nil); err != nil {
@@ -197,15 +173,7 @@ func (e *engine) pumpArrivals() error {
 		if !st.haveFirst {
 			st.haveFirst = true
 			st.firstSubmit = j.Submit
-			// Same seeding the batch engine does once up front: the
-			// checkpoint grid and (in periodic mode) the tick grid are
-			// anchored at the first accepted submission.
-			e.events.Push(j.Submit.Add(e.cfg.CheckInterval), evCheckpoint, nil)
-			e.nextCheck = j.Submit.Add(e.cfg.CheckInterval)
-			if e.cfg.SchedulePeriod > 0 {
-				e.events.Push(j.Submit, evTick, nil)
-				e.nextTick = j.Submit
-			}
+			e.anchorGrids(j.Submit) // as the batch engine does once up front
 		}
 		e.events.Push(j.Submit, evArrive, j)
 	}

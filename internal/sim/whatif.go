@@ -1,20 +1,16 @@
 // What-if lookahead rollouts: the engine forks its live state — machine
 // occupancy, running set, queue, scheduling grids — into per-candidate
-// closed worlds and simulates each one a short horizon into the future,
-// so the adaptive tuner can score candidate (BF, W) settings on
-// simulated outcomes instead of threshold rules. The fork mechanics
-// mirror the fairness oracle's seedWorld (CloneMachineInto arenas,
-// scheduler clones with AdoptScratch recycling, ID-sorted end-event
-// seeding), but each fork owns its scratch outright so rollouts fan out
-// across cores without sharing.
+// closed worlds (world.go) and simulates each one a short horizon into
+// the future, so the adaptive tuner can score candidate (BF, W)
+// settings on simulated outcomes instead of threshold rules. Each
+// candidate slot owns its world outright, so rollouts fan out across
+// cores without sharing.
 package sim
 
 import (
-	"sort"
 	"time"
 
 	"amjs/internal/job"
-	"amjs/internal/machine"
 	"amjs/internal/parallel"
 	"amjs/internal/sched"
 	"amjs/internal/units"
@@ -40,27 +36,29 @@ func (e *engine) Lookahead(cands []sched.Scheduler, horizon units.Duration, work
 	if e.sub || horizon <= 0 || len(cands) == 0 {
 		return nil, false
 	}
-	for len(e.laForks) < len(cands) {
-		e.laForks = append(e.laForks, &lookaheadFork{})
+	for len(e.laWorlds) < len(cands) {
+		e.laWorlds = append(e.laWorlds, world{})
 	}
 	if cap(e.laOut) < len(cands) {
 		e.laOut = make([]sched.Rollout, len(cands))
 	}
 	out := e.laOut[:len(cands)]
-	for i := range out {
-		out[i] = sched.Rollout{}
-	}
+	clear(out)
 	var deadline time.Time
 	if budget > 0 {
 		deadline = time.Now().Add(budget)
 	}
+	// Read the queue once, before the fan-out: the accessor rebuilds a
+	// cached view when a removal left it stale, which is a write the
+	// concurrent rollouts must not race on.
+	queueView := e.queue.jobs()
 	run := func(i int) {
 		// The first candidate (the caller's incumbent) always runs, so
 		// the planner keeps a baseline even under an exhausted budget.
 		if i > 0 && budget > 0 && time.Now().After(deadline) {
 			return // out[i] stays Valid=false
 		}
-		out[i] = e.laForks[i].rollout(e, cands[i], horizon)
+		out[i] = e.rollout(&e.laWorlds[i], cands[i], queueView, horizon)
 	}
 	if workers <= 1 || len(cands) == 1 {
 		for i := range cands {
@@ -75,99 +73,18 @@ func (e *engine) Lookahead(cands []sched.Scheduler, horizon units.Duration, work
 	return out, true
 }
 
-// lookaheadFork is one candidate slot's private rollout scratch: a
-// nested engine, a job-clone arena, ordering buffers, and the previous
-// tick's candidate scheduler (kept only as a scratch-buffer donor for
-// the next one). Slots are reused across checkpoints, so a steady
-// what-if cadence allocates almost nothing after warm-up.
-type lookaheadFork struct {
-	sub       *engine
-	arena     []job.Job
-	order     []*job.Job
-	prevSched sched.Scheduler
-}
-
-// rollout forks the live engine state under cand and simulates it for
-// horizon, accumulating the outcome sums the planner scores. It only
-// reads from e (safe concurrently with the other forks) and writes
-// exclusively to the fork's own clones.
-func (f *lookaheadFork) rollout(e *engine, cand sched.Scheduler, horizon units.Duration) (r sched.Rollout) {
-	sub := f.sub
-	if sub == nil {
-		sub = &engine{
-			running: make(map[*job.Job]machine.Alloc),
-			sub:     true,
-		}
-		f.sub = sub
-	}
-	sub.cfg = e.cfg
-	sub.cfg.Trace = nil // forks never touch the trace path
-	sub.now = e.now
-	sub.machine = machine.CloneMachineInto(e.machine, sub.machine)
-	sub.scheduler = cand
-	if ad, ok := cand.(scratchAdopter); ok && f.prevSched != nil {
-		ad.AdoptScratch(f.prevSched)
-	}
-	f.prevSched = cand
-	sub.collector = e.collector // read-only use; never written in sub runs
-	sub.events.Reset()
-	sub.queue.reset()
-	clear(sub.running)
-	sub.dirty = true
-	sub.lastDelta = false
-	sub.lastQuiet = false
-	sub.processed = 0
-
-	// Clone the live jobs into the fork's arena, queue first (the queue
-	// view and the running set are disjoint). Sized up front so the
-	// pointers handed to the sub-engine stay valid as it fills.
-	queueView := e.queue.jobs()
-	qn := len(queueView)
-	n := qn + len(e.running)
-	if cap(f.arena) < n {
-		f.arena = make([]job.Job, 0, n+n/2+8)
-	}
-	arena := f.arena[:0]
-	for _, j := range queueView {
-		arena = append(arena, *j)
-		sub.queue.push(&arena[len(arena)-1])
-	}
-
-	// Seed the running jobs' end events in ID order, as seedWorld does:
-	// the heap breaks same-instant ties by insertion sequence, so a
-	// deterministic order keeps rollouts reproducible.
-	f.order = f.order[:0]
-	for j := range e.running {
-		f.order = append(f.order, j)
-	}
-	sort.Slice(f.order, func(i, k int) bool { return f.order[i].ID < f.order[k].ID })
-	for _, j := range f.order {
-		arena = append(arena, *j)
-		c := &arena[len(arena)-1]
-		sub.running[c] = e.running[j] // machine clone preserves allocation handles
-		effective := c.Runtime
-		if effective > c.Walltime {
-			effective = c.Walltime
-		}
-		sub.events.Push(c.Start.Add(effective), evEnd, c)
-	}
-	f.arena = arena
-
-	// Re-enter the scheduling grids exactly where the main engine holds
-	// them: Lookahead runs inside the checkpoint block, before the grids
-	// re-arm, so nextCheck is the firing instant (now) and the fork runs
-	// the checkpoint-forced pass the main engine is about to run — under
-	// the candidate tunables. In event mode the fork seeds the one-shot
-	// zero-period tick (see seedGrids) so the closed world passes at the
-	// fork instant.
-	if e.cfg.SchedulePeriod > 0 {
-		sub.events.Push(e.nextTick, evTick, nil)
-		sub.nextTick = e.nextTick
-		sub.events.Push(e.nextCheck, evCheckpoint, nil)
-		sub.nextCheck = e.nextCheck
-	} else {
-		sub.events.Push(e.now, evTick, nil)
-	}
+// rollout forks the live engine state into w under cand and simulates
+// it for horizon, accumulating the outcome sums the planner scores. It
+// only reads from e (safe concurrently with the other rollouts) and
+// writes exclusively to the world's own clones.
+func (e *engine) rollout(w *world, cand sched.Scheduler, queueView []*job.Job, horizon units.Duration) (r sched.Rollout) {
+	// Nothing is cut off or rewound, and the grids re-enter where the
+	// engine holds them (see Lookahead): nextCheck is the firing instant,
+	// so the fork runs the checkpoint-forced pass the engine is about to
+	// run — under the candidate tunables.
+	sub := w.fork(e, cand, queueView, units.Forever, nil)
+	w.armGrids(e.nextTick, e.nextCheck, true)
+	arena, qn := w.arena, sub.queue.len()
 
 	// Drive the fork to the horizon, integrating busy nodes over each
 	// advance of its clock. Events beyond the horizon stay unprocessed:
@@ -216,11 +133,7 @@ func (f *lookaheadFork) rollout(e *engine, cand sched.Scheduler, horizon units.D
 			r.Started++
 			wait := c.Start.Sub(c.Submit)
 			r.WaitSum += wait
-			effective := c.Runtime
-			if effective > c.Walltime {
-				effective = c.Walltime
-			}
-			r.BSLDSum += boundedSlowdown(wait, effective)
+			r.BSLDSum += boundedSlowdown(wait, effectiveRuntime(c))
 		} else {
 			r.LeftQueued++
 			wait := end.Sub(c.Submit)

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"amjs/internal/core"
+	"amjs/internal/job"
 	"amjs/internal/machine"
+	"amjs/internal/sched"
 	"amjs/internal/units"
 	"amjs/internal/whatif"
 )
@@ -231,5 +233,41 @@ func TestWhatIfEmptyQueueAtFork(t *testing.T) {
 	}
 	if st.Commits != 0 || st.Evaluated != 0 {
 		t.Errorf("empty-queue ticks ran rollouts: %d evaluated, %d commits", st.Evaluated, st.Commits)
+	}
+}
+
+// TestLookaheadReadsQueueOnce is the -race pin on the rollout fan-out.
+// A queue removal between steps (a cancel; a submission alone does not)
+// leaves the engine's cached queue view stale, and rebuilding it is a
+// write — so Lookahead must read the view once, before the rollouts go
+// parallel, never from inside each one. One cancel → Lookahead round
+// races only some of the time, hence the repeats.
+func TestLookaheadReadsQueueOnce(t *testing.T) {
+	l, err := NewLive(Config{Machine: machine.NewFlat(64), Scheduler: core.NewMetricAware(0.5, 2)}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const queued = 40
+	for id := 1; id <= 1+queued; id++ { // job 1 fills the machine; the rest wait
+		if _, err := l.Submit(&job.Job{ID: id, User: "u", Submit: units.Time(id), Nodes: 64,
+			Walltime: 10 * units.Hour, Runtime: 10 * units.Hour}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.AdvanceTo(1 + queued); err != nil {
+		t.Fatal(err)
+	}
+	for id := 2; id < queued; id++ {
+		if !l.Cancel(id) {
+			t.Fatalf("cancel of queued job %d refused", id)
+		}
+		cands := []sched.Scheduler{core.NewMetricAware(1, 1), core.NewMetricAware(0.5, 2)}
+		out, ok := l.e.Lookahead(cands, units.Hour, 2, 0)
+		if !ok || len(out) != 2 || !out[0].Valid || !out[1].Valid {
+			t.Fatalf("lookahead after cancelling job %d: ok=%v rollouts=%+v", id, ok, out)
+		}
+		if want := 1 + queued - id; out[0].LeftQueued != want {
+			t.Fatalf("rollout saw %d queued jobs after cancelling job %d, want %d", out[0].LeftQueued, id, want)
+		}
 	}
 }
