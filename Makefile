@@ -31,11 +31,11 @@ vet:
 		|| { echo "gofmt -l reports:"; gofmt -l . | grep -v '^.bench_build/'; exit 1; }
 
 # A one-iteration pass over the scheduling benchmarks: catches bench
-# bit-rot without the minutes-long measured run. The ingest-decode
-# family lives in internal/server, so both paths are swept.
+# bit-rot without the minutes-long measured run. The ingest-decode and
+# daemon-cycle families live in internal/server, so both paths are swept.
 bench-smoke:
 	$(GO) test -timeout 5m -run '^$$' -bench 'ScheduleIteration|PlanEarliestStart|PlanCommit|SimEndToEnd|SimAtScale|SimWhatIf' -benchtime 1x .
-	$(GO) test -timeout 5m -run '^$$' -bench 'IngestDecode' -benchtime 1x ./internal/server
+	$(GO) test -timeout 5m -run '^$$' -bench 'IngestDecode|DaemonCycle' -benchtime 1x ./internal/server
 
 # load-smoke boots amjsd on an ephemeral port and batch-submits 100k
 # jobs over real TCP loopback, failing below a conservative throughput
@@ -93,10 +93,14 @@ benchmark:
 	sh benchmarks/run.sh
 
 # profile captures CPU and heap profiles of the at-scale simulation
-# for pprof: `go tool pprof cpu.prof` / `go tool pprof mem.prof`.
+# (cpu.prof, mem.prof) and of the daemon's in-process submit-to-drain
+# cycle (daemon-cpu.prof, daemon-mem.prof) for pprof, e.g.
+# `go tool pprof -top daemon-cpu.prof`.
 profile:
 	$(GO) test -timeout 10m -run '^$$' -bench 'SimAtScale' -benchtime 5x \
 		-cpuprofile cpu.prof -memprofile mem.prof .
+	$(GO) test -timeout 10m -run '^$$' -bench 'DaemonCycle' -benchtime 10x \
+		-cpuprofile daemon-cpu.prof -memprofile daemon-mem.prof ./internal/server
 
 # run-daemon boots a local scheduling daemon at 60x wall speed on the
 # 512-node synthetic machine; see README "Running the daemon".
@@ -105,4 +109,4 @@ run-daemon:
 		-policy adaptive:2d:1000 -speedup 60
 
 clean:
-	rm -f amjs.test cpu.prof mem.prof
+	rm -f amjs.test server.test cpu.prof mem.prof daemon-cpu.prof daemon-mem.prof

@@ -45,6 +45,7 @@ package invariant
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"amjs/internal/job"
@@ -247,6 +248,7 @@ type jobRec struct {
 
 	arriveT, startT units.Time
 	arrived         bool
+	queued          bool // waiting: arrived, neither started nor cancelled
 	started         bool
 	ended           bool
 	cancelled       bool
@@ -268,7 +270,8 @@ type checker struct {
 	haveLast bool
 
 	jobs     map[int]*jobRec
-	queue    []int       // waiting job IDs in arrival order
+	queue    []*jobRec   // arrival order; an entry no longer queued is dead
+	dead     int         // dead entries in queue
 	occupant map[int]int // placement unit -> job occupying it
 	busy     int         // sum of running jobs' block-node footprints
 	holderID int         // current protected-reservation holder (0 = none)
@@ -318,13 +321,19 @@ func (c *checker) rec(id int) *jobRec {
 	return r
 }
 
-// dequeue removes a job from the replayed waiting queue.
-func (c *checker) dequeue(id int) {
-	for i, q := range c.queue {
-		if q == id {
-			c.queue = append(c.queue[:i], c.queue[i+1:]...)
-			return
-		}
+// dequeue removes a job from the replayed waiting queue. The queue
+// leaves order-preserving holes instead of splicing, which made a start
+// from a deep queue linear; the holes are squeezed out once they are
+// the majority.
+func (c *checker) dequeue(r *jobRec) {
+	if !r.queued {
+		return
+	}
+	r.queued = false
+	c.dead++
+	if c.dead > len(c.queue)/2 {
+		c.queue = slices.DeleteFunc(c.queue, func(q *jobRec) bool { return !q.queued })
+		c.dead = 0
 	}
 }
 
@@ -379,7 +388,8 @@ func (c *checker) arrive(ev *Event) {
 	r.nodes = ev.Nodes
 	r.walltime = ev.Walltime
 	r.runtime = ev.Runtime
-	c.queue = append(c.queue, ev.JobID)
+	r.queued = true
+	c.queue = append(c.queue, r)
 }
 
 func (c *checker) start(ev *Event) {
@@ -427,7 +437,7 @@ func (c *checker) start(ev *Event) {
 	r.blockNodes = ev.BlockNodes
 	r.units = ev.Units
 	c.busy += ev.BlockNodes
-	c.dequeue(ev.JobID)
+	c.dequeue(r)
 
 	// Metrics, accumulated exactly as the collector does: waits in
 	// start order, unfairness against fair start + tolerance.
@@ -502,7 +512,7 @@ func (c *checker) cancel(ev *Event) {
 	}
 	r.cancelled = true
 	r.hasPromise = false
-	c.dequeue(ev.JobID)
+	c.dequeue(r)
 	if c.holderID == ev.JobID {
 		c.holderID = 0
 	}
@@ -554,8 +564,10 @@ func (c *checker) checkpoint(ev *Event) {
 	// Queue depth, recomputed from the replayed queue in arrival order
 	// (the engine's iteration order, so the float sum matches exactly).
 	qd := 0.0
-	for _, id := range c.queue {
-		qd += ev.T.Sub(c.jobs[id].submit).Minutes()
+	for _, r := range c.queue {
+		if r.queued {
+			qd += ev.T.Sub(r.submit).Minutes()
+		}
 	}
 	if !closeEnough(qd, ev.QD) {
 		c.fail(InvMetrics, ev.T, "checkpoint queue depth %.9g minutes, engine reported %.9g", qd, ev.QD)

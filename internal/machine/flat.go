@@ -1,7 +1,9 @@
 package machine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"amjs/internal/units"
@@ -9,12 +11,20 @@ import (
 
 // Flat is a malleable pool of identical nodes with no placement
 // constraints: any request that fits the idle count can start.
+//
+// Allocations live in a slice: a handle is its slot's index + 1, and a
+// released slot goes on a free list for the next start to reuse, so the
+// table stays as long as the peak running count and Clone is a slice
+// copy. Handles are therefore recycled; a released handle is invalid
+// until TryStart hands it out again.
 type Flat struct {
-	total  int
-	nextID Alloc
-	allocs map[Alloc]flatAlloc
-	busy   int
-	used   int
+	total int
+	slots []flatAlloc // handle h is slots[h-1]; nodes == 0 marks a free slot
+	free  []Alloc     // released handles, reused last-in first-out
+	busy  int
+	used  int
+
+	ends []flatEnd // Plan's scratch: the running jobs' end estimates
 }
 
 type flatAlloc struct {
@@ -23,12 +33,19 @@ type flatAlloc struct {
 	expEnd units.Time // walltime-based end estimate
 }
 
+// flatEnd is one running allocation's contribution to a plan: nodes
+// freeing at end.
+type flatEnd struct {
+	end   units.Time
+	nodes int
+}
+
 // NewFlat returns a flat machine with the given node count.
 func NewFlat(total int) *Flat {
 	if total <= 0 {
 		panic("machine: flat machine needs a positive node count")
 	}
-	return &Flat{total: total, allocs: make(map[Alloc]flatAlloc)}
+	return &Flat{total: total}
 }
 
 // Name implements Machine.
@@ -48,7 +65,7 @@ func (f *Flat) BusyNodes() int { return f.busy }
 func (f *Flat) UsedNodes() int { return f.used }
 
 // RunningCount implements Machine.
-func (f *Flat) RunningCount() int { return len(f.allocs) }
+func (f *Flat) RunningCount() int { return len(f.slots) - len(f.free) }
 
 // CanFitEver implements Machine.
 func (f *Flat) CanFitEver(nodes int) bool { return nodes > 0 && nodes <= f.total }
@@ -61,11 +78,17 @@ func (f *Flat) TryStart(jobID, nodes int, now units.Time, walltime units.Duratio
 	if !f.CanStartNow(nodes) {
 		return NoAlloc, false
 	}
-	f.nextID++
-	f.allocs[f.nextID] = flatAlloc{jobID: jobID, nodes: nodes, expEnd: now.Add(walltime)}
+	var h Alloc
+	if k := len(f.free); k > 0 {
+		h, f.free = f.free[k-1], f.free[:k-1]
+	} else {
+		f.slots = append(f.slots, flatAlloc{})
+		h = Alloc(len(f.slots))
+	}
+	f.slots[h-1] = flatAlloc{jobID: jobID, nodes: nodes, expEnd: now.Add(walltime)}
 	f.busy += nodes
 	f.used += nodes
-	return f.nextID, true
+	return h, true
 }
 
 // TryStartAt implements Machine; placement hints are meaningless on a
@@ -76,46 +99,46 @@ func (f *Flat) TryStartAt(jobID, nodes int, now units.Time, walltime units.Durat
 
 // Release implements Machine.
 func (f *Flat) Release(a Alloc, _ units.Time) {
-	al, ok := f.allocs[a]
-	if !ok {
+	if a < 1 || int(a) > len(f.slots) || f.slots[a-1].nodes == 0 {
 		panic(fmt.Sprintf("machine: release of unknown allocation %d", a))
 	}
-	delete(f.allocs, a)
+	al := &f.slots[a-1]
 	f.busy -= al.nodes
 	f.used -= al.nodes
+	*al = flatAlloc{}
+	f.free = append(f.free, a)
 }
 
 // Clone implements Machine.
 func (f *Flat) Clone() Machine {
-	c := &Flat{total: f.total, nextID: f.nextID, busy: f.busy, used: f.used,
-		allocs: make(map[Alloc]flatAlloc, len(f.allocs))}
-	for k, v := range f.allocs {
-		c.allocs[k] = v
-	}
-	return c
+	return &Flat{total: f.total, busy: f.busy, used: f.used,
+		slots: slices.Clone(f.slots), free: slices.Clone(f.free)}
 }
 
 // CloneInto implements InPlaceCloner (see the interface contract): the
-// allocation table is copied into dst's map when dst is a retired
+// allocation table is copied into dst's slices when dst is a retired
 // clone of the same size.
 func (f *Flat) CloneInto(dst Machine) Machine {
 	d, ok := dst.(*Flat)
 	if !ok || d == f || d.total != f.total {
 		return f.Clone()
 	}
-	d.nextID, d.busy, d.used = f.nextID, f.busy, f.used
-	clear(d.allocs)
-	for k, v := range f.allocs {
-		d.allocs[k] = v
-	}
+	d.busy, d.used = f.busy, f.used
+	d.slots = append(d.slots[:0], f.slots...)
+	d.free = append(d.free[:0], f.free...)
 	return d
 }
 
-// Plan implements Machine: the classic availability profile over time.
+// Plan implements Machine: the classic availability profile over time,
+// built from the running allocations sorted by end estimate. The sort
+// buffer lives on the machine, so Plan is not safe for concurrent use
+// with itself on one machine.
 func (f *Flat) Plan(now units.Time) Plan {
-	ends := make([]units.Time, 0, len(f.allocs))
-	byEnd := make(map[units.Time]int)
-	for _, al := range f.allocs {
+	f.ends = f.ends[:0]
+	for _, al := range f.slots {
+		if al.nodes == 0 {
+			continue
+		}
 		e := al.expEnd
 		if e < now {
 			// A job at its walltime limit is released at exactly
@@ -123,24 +146,21 @@ func (f *Flat) Plan(now units.Time) Plan {
 			// processed this instant — treat the nodes as freeing now.
 			e = now
 		}
-		if _, seen := byEnd[e]; !seen {
-			ends = append(ends, e)
-		}
-		byEnd[e] += al.nodes
+		f.ends = append(f.ends, flatEnd{e, al.nodes})
 	}
-	sort.Slice(ends, func(i, j int) bool { return ends[i] < ends[j] })
+	slices.SortFunc(f.ends, func(a, b flatEnd) int { return cmp.Compare(a.end, b.end) })
 
 	p := &flatPlan{now: now}
 	p.times = append(p.times, now)
 	p.avail = append(p.avail, f.IdleNodes())
 	cur := f.IdleNodes()
-	for _, e := range ends {
-		cur += byEnd[e]
-		if e == now {
-			p.avail[0] = cur
+	for _, e := range f.ends {
+		cur += e.nodes
+		if last := len(p.times) - 1; e.end == p.times[last] {
+			p.avail[last] = cur // freeing now, or with the previous end
 			continue
 		}
-		p.times = append(p.times, e)
+		p.times = append(p.times, e.end)
 		p.avail = append(p.avail, cur)
 	}
 	return p

@@ -112,13 +112,16 @@ type Daemon struct {
 	log *slog.Logger
 	inf bool
 
-	mu        sync.Mutex
-	live      *sim.Live
-	nextID    int
-	predicted map[int]units.Time // optimistic start estimate recorded at submission
-	hasPred   map[int]bool
-	closed    bool
-	closing   bool // Close in progress: ingest winding down, engine still open
+	mu      sync.Mutex
+	live    *sim.Live
+	nextID  int
+	closed  bool
+	closing bool // Close in progress: ingest winding down, engine still open
+
+	// predicted is the optimistic start estimate recorded at
+	// submission, indexed by job ID (the daemon issues IDs densely from
+	// 1); -1 means no prediction.
+	predicted []units.Time
 
 	lanes *lanes    // sharded batch-admission front end
 	hub   *eventHub // /v1/events fan-out
@@ -207,16 +210,14 @@ func New(cfg Config) (*Daemon, error) {
 		return nil, err
 	}
 	d := &Daemon{
-		cfg:       cfg,
-		log:       cfg.Logger,
-		inf:       inf,
-		live:      live,
-		nextID:    1,
-		predicted: make(map[int]units.Time),
-		hasPred:   make(map[int]bool),
-		wallBase:  time.Now(),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
+		cfg:      cfg,
+		log:      cfg.Logger,
+		inf:      inf,
+		live:     live,
+		nextID:   1,
+		wallBase: time.Now(),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	d.hub = newEventHub(cfg.EventRing)
 	live.SetNotify(func(t units.Time, j *job.Job, s job.State) {
@@ -344,10 +345,7 @@ func (d *Daemon) submitLocked(req SubmitRequest) (JobStatus, error) {
 		return JobStatus{}, err
 	}
 	d.nextID++
-	if ts, ok := d.live.PredictStart(j.ID); ok {
-		d.predicted[j.ID] = ts
-		d.hasPred[j.ID] = true
-	}
+	d.predictLocked(j.ID)
 	if d.hub.active() {
 		d.hub.publish(JobEvent{
 			TSec: int64(submit), ID: j.ID, User: j.User, Nodes: j.Nodes,
@@ -566,6 +564,17 @@ func (d *Daemon) Close() error {
 	return nil
 }
 
+// predictLocked records the session's start estimate for a job just
+// admitted. Callers hold d.mu.
+func (d *Daemon) predictLocked(id int) {
+	for len(d.predicted) <= id {
+		d.predicted = append(d.predicted, -1)
+	}
+	if ts, ok := d.live.PredictStart(id); ok {
+		d.predicted[id] = ts
+	}
+}
+
 // statusLocked renders a job's wire status. Callers hold d.mu.
 func (d *Daemon) statusLocked(j *job.Job) JobStatus {
 	st := JobStatus{
@@ -576,7 +585,7 @@ func (d *Daemon) statusLocked(j *job.Job) JobStatus {
 		State:       j.State.String(),
 		SubmitSec:   int64(j.Submit),
 	}
-	if d.hasPred[j.ID] {
+	if j.ID < len(d.predicted) && d.predicted[j.ID] >= 0 {
 		p := int64(d.predicted[j.ID])
 		st.PredictedStartSec = &p
 	}
@@ -683,10 +692,7 @@ func (d *Daemon) restore(path string) error {
 		if err != nil {
 			return fmt.Errorf("server: requeueing checkpointed job %d: %w", cj.ID, err)
 		}
-		if ts, ok := d.live.PredictStart(j.ID); ok {
-			d.predicted[j.ID] = ts
-			d.hasPred[j.ID] = true
-		}
+		d.predictLocked(j.ID)
 	}
 	if cp.NextID > d.nextID {
 		d.nextID = cp.NextID

@@ -6,8 +6,11 @@ import "amjs/internal/job"
 //
 // The simulator dequeues jobs in whatever order the policy starts them,
 // not FIFO, so a plain slice costs an O(n) splice per start. Here each
-// job occupies a slot; removal blanks the slot and the slot array is
-// compacted lazily once holes dominate, keeping both push and remove
+// job occupies a slot, and a slot is live exactly while its job is
+// Queued: the engine moves a job out of Queued (Running, Cancelled)
+// before it calls remove, so remove only counts the departure and no
+// job → slot index is needed. Dead slots are skipped by jobs() and
+// squeezed out lazily once they dominate, keeping both push and remove
 // amortized O(1) while preserving arrival order.
 //
 // jobs() returns a cached compact view that is rebuilt only after the
@@ -15,59 +18,51 @@ import "amjs/internal/job"
 // sched.Env.Queue) must treat it as read-only and must not retain it
 // across engine mutations — the backing array is reused in place.
 type jobQueue struct {
-	slots []*job.Job       // arrival order; nil where a job left
-	pos   map[*job.Job]int // job → index into slots
-	view  []*job.Job       // cached compact snapshot, nil-hole free
-	stale bool             // view needs rebuilding
+	slots []*job.Job // arrival order; a slot whose job left Queued is dead
+	live  int        // slots still holding a Queued job
+	view  []*job.Job // cached compact snapshot of the live slots
+	stale bool       // view needs rebuilding
 }
 
 // compactionFloor is the slot count below which the queue never bothers
 // compacting; tiny queues just rebuild the view.
 const compactionFloor = 32
 
-// push appends a job in arrival order.
+// push appends a Queued job in arrival order.
 func (q *jobQueue) push(j *job.Job) {
-	if q.pos == nil {
-		q.pos = make(map[*job.Job]int)
-	}
-	q.pos[j] = len(q.slots)
 	q.slots = append(q.slots, j)
+	q.live++
 	q.stale = true
 }
 
-// remove deletes a job, preserving the relative order of the rest.
-// Removing a job not in the queue is a no-op.
+// remove records the departure of a queued job whose state the caller
+// has already moved out of Queued, preserving the order of the rest.
 func (q *jobQueue) remove(j *job.Job) {
-	i, ok := q.pos[j]
-	if !ok {
-		return
+	if j.State == job.Queued {
+		panic("sim: queue removal of a job still in state Queued")
 	}
-	q.slots[i] = nil
-	delete(q.pos, j)
+	q.live--
 	q.stale = true
-	if len(q.slots) >= compactionFloor && len(q.pos) < len(q.slots)/2 {
+	if len(q.slots) >= compactionFloor && q.live < len(q.slots)/2 {
 		q.compact()
 	}
 }
 
-// compact squeezes the nil holes out of the slot array in place.
+// compact squeezes the dead slots out of the slot array in place.
 func (q *jobQueue) compact() {
 	w := 0
 	for _, j := range q.slots {
-		if j != nil {
-			q.pos[j] = w
+		if j.State == job.Queued {
 			q.slots[w] = j
 			w++
 		}
 	}
-	for i := w; i < len(q.slots); i++ {
-		q.slots[i] = nil // release for GC
-	}
+	clear(q.slots[w:]) // release for GC
 	q.slots = q.slots[:w]
 }
 
 // len reports the number of queued jobs.
-func (q *jobQueue) len() int { return len(q.pos) }
+func (q *jobQueue) len() int { return q.live }
 
 // jobs returns the queued jobs in arrival order as a shared read-only
 // view, valid until the queue next changes.
@@ -75,7 +70,7 @@ func (q *jobQueue) jobs() []*job.Job {
 	if q.stale {
 		q.view = q.view[:0]
 		for _, j := range q.slots {
-			if j != nil {
+			if j.State == job.Queued {
 				q.view = append(q.view, j)
 			}
 		}
@@ -87,14 +82,10 @@ func (q *jobQueue) jobs() []*job.Job {
 // reset empties the queue, keeping the backing storage so a hot caller
 // (the fairness oracle's reused sub-engine) can refill it cheaply.
 func (q *jobQueue) reset() {
-	for i := range q.slots {
-		q.slots[i] = nil
-	}
+	clear(q.slots)
 	q.slots = q.slots[:0]
-	for i := range q.view {
-		q.view[i] = nil
-	}
+	clear(q.view)
 	q.view = q.view[:0]
-	clear(q.pos)
+	q.live = 0
 	q.stale = false
 }

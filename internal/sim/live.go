@@ -7,7 +7,7 @@
 // Equivalence with the batch engine is by construction, not
 // reimplementation: Live shares engine.step with Run, and its Submit
 // path reproduces RunStream's injection contract (every arrival at an
-// instant T is in the event heap before T is drained, in submission
+// instant T is in the event queue before T is drained, in submission
 // order). A session of Submit calls followed by Drain therefore yields
 // the bit-identical schedule Run produces on the collected trace — the
 // property TestLiveEquivalence pins.
@@ -41,6 +41,14 @@ type Live struct {
 	accepted  int
 	rejected  int
 	cancelled int
+
+	// The availability plan PredictStart answers from, built from the
+	// machine at (planAt, planGen): one plan serves every prediction
+	// until the clock moves or a job starts or ends. It is only read —
+	// never committed into, never handed back to a plan pool.
+	plan    machine.Plan
+	planAt  units.Time
+	planGen uint64
 }
 
 // Notify observes one job state transition as the engine processes it.
@@ -80,7 +88,7 @@ func NewLive(cfg Config, lean bool) (*Live, error) {
 // than the last processed instant — the nondecreasing-submit contract
 // every trace source already obeys. Submit advances the engine through
 // every instant strictly before the job's submit time (so the arrival
-// lands in the heap before its own instant is drained, exactly as
+// lands in the event queue before its own instant is drained, exactly as
 // RunStream injects), then enqueues the arrival; the instant itself is
 // processed by a later Submit, AdvanceTo, or Drain.
 //
@@ -117,7 +125,7 @@ func (l *Live) Submit(src *job.Job) (*job.Job, error) {
 		// engine does at its first accepted job.
 		l.e.anchorGrids(j.Submit)
 	}
-	l.e.events.Push(j.Submit, evArrive, j)
+	l.e.events.PushArrival(j)
 	l.jobs[j.ID] = j
 	l.lastSubmit, l.haveAny = j.Submit, true
 	l.accepted++
@@ -135,7 +143,7 @@ func (l *Live) Cancel(id int) bool {
 	}
 	switch j.State {
 	case job.Submitted:
-		// Arrival still pending in the heap; the arrival handler drops
+		// Arrival still pending in the event queue; the arrival handler drops
 		// cancelled jobs, so flagging the state is enough.
 		j.State = job.Cancelled
 		if l.e.notify != nil {
@@ -262,7 +270,10 @@ func (l *Live) PredictStart(id int) (units.Time, bool) {
 	case job.Cancelled:
 		return 0, false
 	}
-	ts, _ := l.e.machine.Plan(l.e.now).EarliestStart(j.Nodes, j.Walltime)
+	if l.plan == nil || l.planAt != l.e.now || l.planGen != l.e.machineGen {
+		l.plan, l.planAt, l.planGen = l.e.machine.Plan(l.e.now), l.e.now, l.e.machineGen
+	}
+	ts, _ := l.plan.EarliestStart(j.Nodes, j.Walltime)
 	if ts == units.Forever {
 		return 0, false
 	}

@@ -309,3 +309,75 @@ func TestTunerThresholdBoundaryAgreement(t *testing.T) {
 		t.Errorf("live: job 2 started at %v, batch %v", lj.Start, batch.Jobs[1].Start)
 	}
 }
+
+// PredictStart answers from a plan cached per (instant, machine
+// occupancy): a step that starts or ends jobs must invalidate it, even
+// when the clock does not move.
+func TestLivePredictionTracksOccupancy(t *testing.T) {
+	l, err := NewLive(Config{Machine: machine.NewFlat(10), Scheduler: core.NewMetricAware(1, 1)}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func(id, nodes int, at units.Time, wall units.Duration) {
+		t.Helper()
+		if _, err := l.Submit(&job.Job{ID: id, User: "u", Submit: at, Nodes: nodes,
+			Walltime: wall, Runtime: wall}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	predict := func(id int, want units.Time) {
+		t.Helper()
+		if got, ok := l.PredictStart(id); !ok || got != want {
+			t.Fatalf("PredictStart(%d) = %v, %v; want %v", id, got, ok, want)
+		}
+	}
+
+	submit(1, 10, 0, 100)
+	submit(2, 5, 0, 50)
+	predict(2, 0) // empty machine: the plan is cached at t=0
+	if err := l.AdvanceTo(0); err != nil {
+		t.Fatal(err)
+	}
+	if l.Now() != 0 || l.RunningLen() != 1 {
+		t.Fatalf("after t=0: now %v, %d running; want 0, 1", l.Now(), l.RunningLen())
+	}
+	predict(2, 100) // job 1 started at the same instant and holds the machine
+
+	// Job 1 ends and job 2 starts at t=100; a job arriving at that
+	// instant sees job 2's five nodes busy until t=150.
+	if err := l.AdvanceTo(100); err != nil {
+		t.Fatal(err)
+	}
+	predict(2, 100)
+	submit(3, 8, 100, 10)
+	predict(3, 150)
+}
+
+// Steady-state submissions at one instant share a single prediction
+// plan: Submit + PredictStart allocates exactly what Submit alone does.
+func TestLivePredictionAllocatesNoPlanPerSubmit(t *testing.T) {
+	measure := func(predict bool) float64 {
+		l, err := NewLive(Config{Machine: machine.NewFlat(1 << 16), Scheduler: core.NewMetricAware(1, 1)}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := 0
+		step := func() {
+			id++
+			if _, err := l.Submit(&job.Job{ID: id, User: "u", Submit: 60, Nodes: 1,
+				Walltime: units.Hour, Runtime: units.Hour}); err != nil {
+				t.Fatal(err)
+			}
+			if predict {
+				if _, ok := l.PredictStart(id); !ok {
+					t.Fatal("no prediction")
+				}
+			}
+		}
+		step() // the first submission anchors the grids and builds the plan
+		return testing.AllocsPerRun(2000, step)
+	}
+	if with, without := measure(true), measure(false); with != without {
+		t.Errorf("Submit+PredictStart allocates %v per job, Submit alone %v", with, without)
+	}
+}

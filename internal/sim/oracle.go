@@ -366,8 +366,8 @@ func (o *fairOracle) resolveOrEcho(b pendingBatch, checkpoint bool) (glued bool)
 // (just executed in sub) reproduced the main engine's deferring pass
 // exactly: the same jobs started on the same physical nodes, and the
 // same persistent scheduler state afterwards. The replay's allocation
-// handles are fresh (handles are sequence numbers), so placement is
-// compared by footprint where the machine exposes one; on
+// handles are its own machine's (handles are not placements), so
+// placement is compared by footprint where the machine exposes one; on
 // placement-free machines (flat) the started-job set alone determines
 // the state.
 func (o *fairOracle) passEchoed(sub *engine) bool {

@@ -7,11 +7,12 @@
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
-	"amjs/internal/eventq"
 	"amjs/internal/invariant"
 	"amjs/internal/job"
 	"amjs/internal/machine"
@@ -157,7 +158,7 @@ func Run(cfg Config, jobs []*job.Job) (*Result, error) {
 
 	// One arena holds every job clone: a year-scale trace is one
 	// allocation instead of one per job. The arena is pre-sized so the
-	// pointers handed to the event heap stay valid as it fills.
+	// pointers handed to the event queue stay valid as it fills.
 	clones := make([]job.Job, 0, len(jobs))
 	var accepted, rejected []*job.Job
 	for i, src := range jobs {
@@ -172,16 +173,23 @@ func Run(cfg Config, jobs []*job.Job) (*Result, error) {
 			continue
 		}
 		accepted = append(accepted, j)
-		e.events.Push(j.Submit, evArrive, j)
+	}
+	// Arrivals enter the FIFO in submit order, ties in input order (a
+	// stable sort) — the order RunStream and Live inject them in.
+	// Result.Jobs keeps input order, so an unsorted trace is sorted in a
+	// copy.
+	arrivals := accepted
+	bySubmit := func(a, b *job.Job) int { return cmp.Compare(a.Submit, b.Submit) }
+	if !slices.IsSortedFunc(arrivals, bySubmit) {
+		arrivals = slices.Clone(accepted)
+		slices.SortStableFunc(arrivals, bySubmit)
+	}
+	for _, j := range arrivals {
+		e.events.PushArrival(j)
 	}
 	var first units.Time // the earliest accepted submission
-	if len(accepted) > 0 {
-		first = accepted[0].Submit
-		for _, j := range accepted {
-			if j.Submit < first {
-				first = j.Submit
-			}
-		}
+	if len(arrivals) > 0 {
+		first = arrivals[0].Submit
 		e.anchorGrids(first)
 	}
 
@@ -226,7 +234,7 @@ type engine struct {
 	now        units.Time
 	machine    machine.Machine
 	scheduler  sched.Scheduler
-	events     eventq.Queue[*job.Job]
+	events     eventQueue
 	queue      jobQueue // waiting jobs in arrival order
 	running    map[*job.Job]machine.Alloc
 	collector  *metrics.Collector
@@ -251,6 +259,11 @@ type engine struct {
 	// the idle nodes — for the state the last pass left behind.
 	dirty     bool
 	lastDelta bool
+
+	// machineGen counts the starts and completions applied to the
+	// machine: with now, it identifies the occupancy a plan was built
+	// from (Live.PredictStart's cached plan).
+	machineGen uint64
 
 	// lastQuiet records whether the last executed pass declared itself
 	// quiescent (sched.PassReport): started nothing and provably
@@ -363,7 +376,7 @@ func (e *engine) run(stop func() bool) error {
 // every event at that instant, runs the fairness oracle and checkpoint
 // hooks, executes (or elides) one scheduling pass, and samples the
 // collector — one iteration of the batch event loop. It returns false
-// with the heap empty. Live advancing (the amjsd daemon) is built on
+// with the event queue empty. Live advancing (the amjsd daemon) is built on
 // step so that interactive sessions replay the exact batch semantics.
 func (e *engine) step() (bool, error) {
 	next, ok := e.events.Peek()
@@ -569,8 +582,8 @@ func (e *engine) step() (bool, error) {
 // though no nodes changed state.
 func (e *engine) cancelQueued(j *job.Job) {
 	e.fair.cancelling(j) // while j is still queued, as the worlds it diverges have it
-	e.queue.remove(j)
 	j.State = job.Cancelled
+	e.queue.remove(j)
 	e.dirty = true
 	if ev, ok := e.scheduler.(sched.Evictor); ok {
 		ev.JobRemoved(j.ID)
@@ -648,6 +661,7 @@ func (e *engine) finish(j *job.Job) {
 		panic(fmt.Sprintf("sim: end event for job %d which is not running", j.ID))
 	}
 	e.machine.Release(alloc, e.now)
+	e.machineGen++
 	delete(e.running, j)
 	e.dirty = true
 	j.End = e.now
@@ -711,6 +725,7 @@ func (e *engine) begin(j *job.Job, a machine.Alloc) {
 	j.State = job.Running
 	j.Start = e.now
 	e.running[j] = a
+	e.machineGen++
 	e.queue.remove(j)
 	e.dirty = true
 	e.events.Push(e.now.Add(effectiveRuntime(j)), evEnd, j)

@@ -111,10 +111,10 @@ func RunStream(cfg Config, src JobSource, sink func(*job.Job)) (*Result, error) 
 	return res, nil
 }
 
-// pumpArrivals injects source jobs into the event heap until the next
+// pumpArrivals injects source jobs into the event queue until the next
 // unfetched job provably submits after the next pending event. Called
 // before each event-loop iteration, it guarantees that when an instant
-// T is drained, every source arrival at T is already in the heap, in
+// T is drained, every source arrival at T is already in the event queue, in
 // source order — which makes the schedule identical to the batch
 // engine's, where all arrivals are pushed up front: the event queue
 // orders same-instant items by kind before insertion sequence, so
@@ -158,7 +158,7 @@ func (e *engine) pumpArrivals() error {
 			st.pending = j
 		}
 		// Hold the pending job back while an earlier event exists; with
-		// an empty heap it must be injected or the simulation would end
+		// an empty event queue it must be injected or the simulation would end
 		// with the trace unfinished.
 		if it, ok := e.events.Peek(); ok && st.pending.Submit > it.Time {
 			return nil
@@ -175,13 +175,13 @@ func (e *engine) pumpArrivals() error {
 			st.firstSubmit = j.Submit
 			e.anchorGrids(j.Submit) // as the batch engine does once up front
 		}
-		e.events.Push(j.Submit, evArrive, j)
+		e.events.PushArrival(j)
 	}
 	return nil
 }
 
 // streamLive reports whether the job source may still deliver work —
-// the streaming analogue of "the event heap still holds arrivals",
+// the streaming analogue of "the event queue still holds arrivals",
 // which keeps the checkpoint and tick grids armed across arrival gaps
 // exactly as the batch engine's pre-pushed arrivals do.
 func (e *engine) streamLive() bool {

@@ -20,7 +20,7 @@ import (
 //
 // Every buffer a fork writes lives on the world, never on the parent,
 // because the what-if forks of one parent run concurrently. All of them
-// are reused from fork to fork — the nested engine with its event heap
+// are reused from fork to fork — the nested engine with its event queue
 // and queue storage, the in-place machine clone, the job arena, the
 // retired scheduler's scratch — so a steady fork cadence allocates only
 // what the caller's scheduler clone does.
@@ -148,7 +148,7 @@ func (w *world) fork(parent *engine, s sched.Scheduler, queueView []*job.Job, cu
 // own, or a completion that fired here — the fork must execute a pass
 // at it (forkPass), or a job the closed world could start immediately
 // sits queued until the next completion (or forever, on an otherwise
-// idle machine — the fork's heap would be empty and the run would exit
+// idle machine — the fork's event queue would be empty and the run would exit
 // without ever scheduling). The tick is not re-armed when the period is
 // zero, so it fires exactly once. A fork at an instant the closed world
 // has no event at (forkPass false) seeds nothing: its next pass is its
