@@ -15,11 +15,13 @@ build:
 test:
 	$(GO) test -timeout 5m ./...
 
-# race exercises the concurrent paths (the engines' what-if rollout
+# race exercises the concurrent paths (the fairness oracle's fair worlds
+# running beside the main schedule, the engines' what-if rollout
 # fan-out, the worker pool, and the daemon's ingest lanes and
-# wall-clock loop) under the race detector. internal/core is not
-# listed: the window search is serial and the package starts no
-# goroutine. ~2.5 min, nearly all of it internal/sim.
+# wall-clock loop) under the race detector; internal/sim's differential
+# suite runs every policy, internal/core's included, in those worlds.
+# internal/core is not listed: the window search is serial and the
+# package starts no goroutine. ~2.5 min, nearly all of it internal/sim.
 race:
 	$(GO) test -race -timeout 10m ./internal/sim ./internal/parallel ./internal/server
 
@@ -34,7 +36,7 @@ vet:
 # bit-rot without the minutes-long measured run. The ingest-decode and
 # daemon-cycle families live in internal/server, so both paths are swept.
 bench-smoke:
-	$(GO) test -timeout 5m -run '^$$' -bench 'ScheduleIteration|PlanEarliestStart|PlanCommit|SimEndToEnd|SimAtScale|SimWhatIf' -benchtime 1x .
+	$(GO) test -timeout 5m -run '^$$' -bench 'ScheduleIteration|PlanEarliestStart|PlanCommit|SimEndToEnd|SimAtScale|SimWhatIf|FairPeriodic' -benchtime 1x .
 	$(GO) test -timeout 5m -run '^$$' -bench 'IngestDecode|DaemonCycle' -benchtime 1x ./internal/server
 
 # load-smoke boots amjsd on an ephemeral port and batch-submits 100k
@@ -93,12 +95,15 @@ benchmark:
 	sh benchmarks/run.sh
 
 # profile captures CPU and heap profiles of the at-scale simulation
-# (cpu.prof, mem.prof) and of the daemon's in-process submit-to-drain
-# cycle (daemon-cpu.prof, daemon-mem.prof) for pprof, e.g.
-# `go tool pprof -top daemon-cpu.prof`.
+# (cpu.prof, mem.prof), of the fairness oracle on the Table II month
+# (fair-cpu.prof, fair-mem.prof) and of the daemon's in-process
+# submit-to-drain cycle (daemon-cpu.prof, daemon-mem.prof) for pprof,
+# e.g. `go tool pprof -top fair-cpu.prof`.
 profile:
 	$(GO) test -timeout 10m -run '^$$' -bench 'SimAtScale' -benchtime 5x \
 		-cpuprofile cpu.prof -memprofile mem.prof .
+	$(GO) test -timeout 10m -run '^$$' -bench 'FairPeriodic' -benchtime 10x \
+		-cpuprofile fair-cpu.prof -memprofile fair-mem.prof .
 	$(GO) test -timeout 10m -run '^$$' -bench 'DaemonCycle' -benchtime 10x \
 		-cpuprofile daemon-cpu.prof -memprofile daemon-mem.prof ./internal/server
 
@@ -109,4 +114,4 @@ run-daemon:
 		-policy adaptive:2d:1000 -speedup 60
 
 clean:
-	rm -f amjs.test server.test cpu.prof mem.prof daemon-cpu.prof daemon-mem.prof
+	rm -f amjs.test server.test cpu.prof mem.prof fair-cpu.prof fair-mem.prof daemon-cpu.prof daemon-mem.prof

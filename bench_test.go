@@ -315,6 +315,33 @@ func BenchmarkSimAtScale(b *testing.B) {
 	b.ReportMetric(float64(len(jobs))*float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
 }
 
+// BenchmarkFairPeriodic is the fairness oracle at the paper's scale: the
+// Table II configuration — the Intrepid month, MetricAware(0.5, 4),
+// fairness on, 10 s scheduling ticks — where nearly all of the time goes
+// to diverged fair worlds, which run on the other cores while the main
+// schedule advances. `make profile` writes its fair-cpu.prof and
+// fair-mem.prof.
+func BenchmarkFairPeriodic(b *testing.B) {
+	month := workload.Intrepid(42)
+	jobs, err := month.Generate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		_, err := sim.Run(sim.Config{
+			Machine:        machine.NewIntrepid(),
+			Scheduler:      core.NewMetricAware(0.5, 4),
+			Fairness:       true,
+			SchedulePeriod: 10 * units.Second,
+		}, jobs)
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(jobs))*float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
+}
+
 // BenchmarkSimWhatIf measures the simulation-in-the-loop tuner against
 // the threshold-rule tuner it replaces: end-to-end throughput plus the
 // planner's own accounting — the mean wall cost of one lookahead tick

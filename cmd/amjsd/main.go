@@ -83,7 +83,7 @@ func run(ctx context.Context, args []string, announce io.Writer) error {
 		maxBatch    = fs.Int("max-batch", 0, "POST /v1/jobs array-item cap (0 = default)")
 		eventRing   = fs.Int("event-ring", 0, "per-subscriber /v1/events buffer (0 = default)")
 		wiBudget    = fs.Duration("whatif-budget", 25*time.Millisecond, "wall-clock cap per what-if lookahead tick (0 = unbounded)")
-		wiWorkers   = fs.Int("whatif-workers", 0, "what-if rollout fan-out (0 = one per CPU)")
+		wiWorkers   = fs.Int("whatif-workers", 0, "what-if rollout fan-out (0 or 1 = serial)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

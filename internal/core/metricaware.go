@@ -125,10 +125,10 @@ type MetricAware struct {
 
 	// search and prio are the reusable scratch state of the
 	// branch-and-bound window search and the priority scoring pass —
-	// buffers only, not configuration. Clone drops them so two scheduler
-	// instances never share scratch (the parallel experiment runner runs
-	// clones concurrently); AdoptScratch transplants them from a retired
-	// clone instead.
+	// buffers only, not configuration. Clone and CloneInto never copy
+	// them, so two scheduler instances never share scratch (experiment
+	// runs and the engine's fairness worlds run clones concurrently with
+	// their source).
 	search     *permSearch
 	prio       *prioScratch
 	blockedBuf []*job.Job
@@ -160,18 +160,29 @@ func (s *MetricAware) Name() string {
 }
 
 // Clone implements sched.Scheduler.
-func (s *MetricAware) Clone() sched.Scheduler {
-	c := *s
-	c.search = nil
-	c.prio = nil
-	c.blockedBuf = nil
-	return &c
+func (s *MetricAware) Clone() sched.Scheduler { return s.CloneInto(nil) }
+
+// CloneInto is Clone into a retired instance: when dst is a
+// *MetricAware no longer in use, s's configuration and state are copied
+// into it and dst keeps its own scratch buffers, so a hot clone-per-fork
+// loop (the engine's fairness and what-if worlds) allocates nothing
+// after warm-up; otherwise a fresh clone is allocated. Either way the
+// result shares no scratch with s.
+func (s *MetricAware) CloneInto(dst sched.Scheduler) sched.Scheduler {
+	d, ok := dst.(*MetricAware)
+	if !ok || d == nil || d == s {
+		d = new(MetricAware)
+	}
+	search, prio, blocked := d.search, d.prio, d.blockedBuf
+	*d = *s
+	d.search, d.prio, d.blockedBuf = search, prio, blocked
+	return d
 }
 
 // AdoptScratch transplants the scoring and search buffers of a retired
-// clone into this scheduler, so a hot clone-per-call loop (the fairness
-// oracle spawns one clone per submission) reallocates nothing after
-// warm-up. The donor must not be used again.
+// clone into this scheduler. The engine reuses retired instances through
+// CloneInto instead; the benchmark's pass probe is the remaining
+// caller. The donor must not be used again.
 func (s *MetricAware) AdoptScratch(from sched.Scheduler) {
 	f, ok := from.(*MetricAware)
 	if !ok || f == s {

@@ -227,26 +227,30 @@ func (t *Tuner) Schedule(env sched.Env) { t.base.Schedule(env) }
 // slice still aliased the original's Monitor interface values, so a
 // stateful monitor was silently shared across every fork — harmless
 // for the value-type threshold monitors, a cross-session leak for the
-// what-if planner's counters and decision log.
-func (t *Tuner) Clone() sched.Scheduler {
-	base := *t.base
-	schemes := append([]Scheme(nil), t.schemes...)
-	for i := range schemes {
-		if mc, ok := schemes[i].Monitor.(MonitorCloner); ok {
+// what-if planner's counters and decision log. The wrapped policy is
+// cloned through MetricAware.CloneInto, never copied by value: a value
+// copy would share its scratch buffers with the original, which races
+// once a fairness world runs the clone next to the main engine.
+func (t *Tuner) Clone() sched.Scheduler { return t.CloneInto(nil) }
+
+// CloneInto is Clone into a retired instance (see
+// MetricAware.CloneInto): a *Tuner dst keeps its wrapped policy's
+// scratch buffers and its schemes slice.
+func (t *Tuner) CloneInto(dst sched.Scheduler) sched.Scheduler {
+	d, ok := dst.(*Tuner)
+	if !ok || d == nil || d == t {
+		d = &Tuner{}
+	}
+	d.base = t.base.CloneInto(d.base).(*MetricAware)
+	d.schemes = append(d.schemes[:0], t.schemes...)
+	for i := range d.schemes {
+		if mc, ok := d.schemes[i].Monitor.(MonitorCloner); ok {
 			if m, ok := mc.CloneMonitor().(Monitor); ok {
-				schemes[i].Monitor = m
+				d.schemes[i].Monitor = m
 			}
 		}
 	}
-	return &Tuner{base: &base, schemes: schemes}
-}
-
-// AdoptScratch transplants the wrapped scheduler's scratch buffers from
-// a retired Tuner clone (see MetricAware.AdoptScratch).
-func (t *Tuner) AdoptScratch(from sched.Scheduler) {
-	if f, ok := from.(*Tuner); ok && f != t {
-		t.base.AdoptScratch(f.base)
-	}
+	return d
 }
 
 // JobRemoved implements sched.Evictor by forwarding to the wrapped

@@ -120,6 +120,46 @@ func TestTunerCloneFreezesState(t *testing.T) {
 	}
 }
 
+// TestTunerCloneSharesNoScratch pins that a Tuner clone's wrapped policy
+// owns its scratch buffers: the engine's fairness worlds schedule clones
+// on other goroutines while the source keeps scheduling, so a shared
+// buffer is a data race. CloneInto must also leave a retired
+// destination's own buffers in place.
+func TestTunerCloneSharesNoScratch(t *testing.T) {
+	pass := func(s sched.Scheduler) {
+		s.Schedule(schedtest.New(machine.NewFlat(100),
+			schedtest.J(1, 0, 60, 100, 100), schedtest.J(2, 1, 60, 200, 200),
+			schedtest.J(3, 2, 30, 50, 50), schedtest.J(4, 3, 50, 300, 300)))
+	}
+	tu := NewTuner(PaperBFScheme(1000))
+	tu.Base().W = 3 // the window search allocates its scratch too
+	pass(tu)
+
+	retired := tu.Clone().(*Tuner)
+	pass(retired)
+	retiredPrio := retired.base.prio
+	into := tu.CloneInto(retired).(*Tuner)
+	if into != retired || into.base.prio != retiredPrio {
+		t.Fatal("CloneInto did not reuse the retired tuner and its scratch")
+	}
+
+	for name, c := range map[string]*Tuner{"Clone": tu.Clone().(*Tuner), "CloneInto": into} {
+		pass(c)
+		pass(tu)
+		src, dst := tu.base, c.base
+		if src == dst {
+			t.Fatalf("%s: the clone wraps the source's policy", name)
+		}
+		if src.prio == nil || src.search == nil || cap(src.blockedBuf) == 0 {
+			t.Fatalf("%s: the source allocated no scratch; the test proves nothing", name)
+		}
+		if src.prio == dst.prio || src.search == dst.search ||
+			(cap(dst.blockedBuf) > 0 && &src.blockedBuf[:1][0] == &dst.blockedBuf[:1][0]) {
+			t.Errorf("%s: the clone shares scratch with its source", name)
+		}
+	}
+}
+
 func TestTunerSchedules(t *testing.T) {
 	// The tuner must delegate scheduling to its base policy.
 	m := machine.NewFlat(100)

@@ -44,8 +44,8 @@ type initialSetter interface {
 // candidate builds an independent scheduler configured with candidate
 // tunables for what-if rollouts: a clone of the wrapped policy —
 // reservation state preserved, scratch buffers fresh — with (BF, W)
-// overridden. Each rollout consumes its candidate inside a private
-// engine fork.
+// overridden. Each rollout runs a copy of its candidate inside a
+// private engine fork.
 func (t *Tuner) candidate(bf float64, w int) sched.Scheduler {
 	c := t.base.Clone().(*MetricAware)
 	c.BF = bf

@@ -168,6 +168,10 @@ func (l *Live) AdvanceTo(t units.Time) error {
 
 // advance processes pending instants up to t, inclusively or not.
 func (l *Live) advance(t units.Time, inclusive bool) error {
+	if l.e.cfg.Fairness {
+		fairRuns.Add(1) // splits the in-flight cap (see maxInFlight)
+		defer fairRuns.Add(-1)
+	}
 	l.e.processed = 0
 	for {
 		it, ok := l.e.events.Peek()
@@ -186,8 +190,9 @@ func (l *Live) advance(t units.Time, inclusive bool) error {
 // so the final checkpoint after the last completion fires and does not
 // re-arm — Run's termination, byte for byte). This is the speedup=∞
 // semantics of the daemon: submit a whole trace, then Drain, and the
-// resulting schedule is identical to Run's. The session remains usable
-// afterwards; a later Submit re-anchors the grids.
+// resulting schedule is identical to Run's. Drain returns with no fair
+// world in flight. The session remains usable afterwards; a later
+// Submit re-anchors the grids.
 func (l *Live) Drain() error {
 	l.e.keepGrids = false
 	err := l.e.run(nil)

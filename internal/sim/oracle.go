@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"runtime"
 	"slices"
+	"sync/atomic"
 
 	"amjs/internal/invariant"
 	"amjs/internal/job"
@@ -35,7 +37,10 @@ import (
 //
 // The event loop calls arrive, beforeRetune, beginPass/endPass,
 // deferStart/startedGlued (from begin) and cancelling (from
-// cancelQueued); diverged batches run in the oracle's one world.
+// cancelQueued). A diverged batch's world is forked synchronously, then
+// runs on a goroutine of its own while the main schedule advances (see
+// launch); beginEffects joins it when a target starts, and engine.run
+// joins every world before returning.
 type fairOracle struct {
 	e *engine // the engine whose submissions the oracle serves
 
@@ -51,14 +56,70 @@ type fairOracle struct {
 	// snapshot, the pre-pass scheduler clone, and the starts the pass
 	// performed so far, kept so a batch that diverges mid-pass can fork
 	// its fair world from the exact pre-pass state. passDefer gates
-	// begin's side-effect deferral while a snapshot is live.
+	// begin's side-effect deferral while a snapshot is live. passSched
+	// outlives its pass as the retired instance the next snapshot is
+	// cloned into.
 	passQueue  []*job.Job
 	passSched  sched.Scheduler
 	passBegins []passBegin
 	passDefer  bool
 
-	world   world      // the one fair world, re-forked per diverged batch
-	tclones []*job.Job // the current fork's clones of its batch's jobs
+	// The fair worlds: free holds the idle ones, flight the diverged ones
+	// running on their own goroutines, oldest first. Worlds are reused, so
+	// a run holds at most maxInFlight()+1 of them once the cap settles.
+	free   []*fairWorld
+	flight []*fairWorld
+}
+
+// fairPending marks a fairStarts entry whose world is still in flight.
+// Fair starts are never negative (a job's is at or after its submit
+// time, and Job.Validate rejects negative submits).
+const fairPending units.Time = -1
+
+// fairRuns counts the fairness-on engines of this process that are
+// stepping (see engine.run and Live.advance): the runs whose main
+// schedules and fair worlds share its processors.
+var fairRuns atomic.Int32
+
+// maxInFlight caps one run's diverged fair worlds running at once, and
+// with it the worlds the run holds. Worlds take from microseconds to
+// milliseconds; two per processor let short worlds launch and land
+// beside a long one. Concurrent fairness runs split that budget, so a
+// process running one per processor (a sweep's worker pool) holds a
+// few worlds per run rather than 2·GOMAXPROCS each, and every run keeps
+// at least one world beside its main schedule. At the cap, launch joins
+// the oldest before starting another. The cap moves only when joins
+// happen, never a result.
+func maxInFlight() int {
+	return max(1, 2*runtime.GOMAXPROCS(0)/max(1, int(fairRuns.Load())))
+}
+
+// fairWorld is one pooled fair world: the fork, the clones of the batch
+// members it resolves, and the channel its goroutine reports on.
+type fairWorld struct {
+	world
+	targets []*job.Job // the world's clones of its batch's jobs, in arrival order
+	done    chan error // the run's outcome; one slot, so the runner never blocks
+}
+
+// run drives the seeded world until every target has started — unless
+// err says an earlier step already failed — and reports the outcome.
+// It runs on the world's goroutine and touches nothing but the world.
+func (fw *fairWorld) run(err error) {
+	if err == nil {
+		err = fw.sub.run(fw.targetsStarted)
+	}
+	fw.done <- err
+}
+
+// targetsStarted is the world's stop condition: no target still queued.
+func (fw *fairWorld) targetsStarted() bool {
+	for _, c := range fw.targets {
+		if c.State == job.Queued {
+			return false
+		}
+	}
+	return true
 }
 
 // pendingBatch is one arrival instant's deferred fair-start batch: the
@@ -163,64 +224,91 @@ func (o *fairOracle) beforeRetune() {
 	o.pending = o.pending[:0]
 }
 
-// resolveLive simulates one batch's no-later-arrival world forked from
-// the engine's live state, on the grids as the engine holds them, and
-// records its fair starts. The nested run retunes at no checkpoint, so
-// adaptive policies stay frozen.
+// resolveLive forks one batch's no-later-arrival world from the
+// engine's live state, on the grids as the engine holds them, and
+// launches it. The nested run retunes at no checkpoint, so adaptive
+// policies stay frozen.
 func (o *fairOracle) resolveLive(b pendingBatch, forkPass bool) {
 	e := o.e
-	sub := o.seed(b, e.queue.jobs(), e.scheduler, nil)
-	o.world.armGrids(e.nextTick, e.nextCheck, forkPass)
-	o.runWorld(sub, b.jobs, nil)
+	fw := o.seed(b, e.queue.jobs(), e.scheduler, nil)
+	fw.armGrids(e.nextTick, e.nextCheck, forkPass)
+	o.launch(fw, nil)
 	o.retireBatch(b.jobs)
 }
 
-// seed forks the oracle's world for batch b (see world.fork: the
-// scheduler cloned from schedSrc, queueView cut at the batch's instant,
-// begun rewound) and collects the clones of its jobs, which are a
-// subsequence of the cut view in arrival order. Jobs arriving at one
-// instant are all already queued when the oracle runs, so each one's
-// no-later-arrival world is the same simulation; one deterministic
-// nested run therefore yields every batch member's fair start,
-// bit-identical to running the oracle per job.
-func (o *fairOracle) seed(b pendingBatch, queueView []*job.Job, schedSrc sched.Scheduler, begun []passBegin) *engine {
-	sub := o.world.fork(o.e, schedSrc.Clone(), queueView, b.t, begun)
-	o.tclones = o.tclones[:0]
-	for i := range o.world.arena[:sub.queue.len()] {
-		if k := len(o.tclones); k < len(b.jobs) && o.world.arena[i].ID == b.jobs[k].ID {
-			o.tclones = append(o.tclones, &o.world.arena[i])
+// seed takes an idle fair world and forks it for batch b (see
+// world.fork: the scheduler cloned from schedSrc, queueView cut at the
+// batch's instant, begun rewound), then collects the clones of the
+// batch's jobs, which are a subsequence of the cut view in arrival
+// order. Jobs arriving at one instant are all already queued when the
+// oracle runs, so each one's no-later-arrival world is the same
+// simulation; one deterministic nested run therefore yields every batch
+// member's fair start, bit-identical to running the oracle per job.
+func (o *fairOracle) seed(b pendingBatch, queueView []*job.Job, schedSrc sched.Scheduler, begun []passBegin) *fairWorld {
+	var fw *fairWorld
+	if k := len(o.free); k > 0 {
+		fw, o.free = o.free[k-1], o.free[:k-1]
+	} else {
+		fw = &fairWorld{done: make(chan error, 1)}
+	}
+	sub := fw.fork(o.e, schedSrc, queueView, b.t, begun)
+	fw.targets = fw.targets[:0]
+	for i := range fw.arena[:sub.queue.len()] {
+		if k := len(fw.targets); k < len(b.jobs) && fw.arena[i].ID == b.jobs[k].ID {
+			fw.targets = append(fw.targets, &fw.arena[i])
 		}
 	}
-	if len(o.tclones) != len(b.jobs) {
+	if len(fw.targets) != len(b.jobs) {
 		panic("sim: oracle targets missing from the queue")
 	}
-	return sub
+	return fw
 }
 
-// runWorld drives a seeded fair world until every target has started
-// and records the targets' fair starts. A non-nil firstErr (from a
-// caller that already stepped the world) skips the run and records the
-// failure outcome directly.
-func (o *fairOracle) runWorld(sub *engine, targets []*job.Job, firstErr error) {
-	tclones := o.tclones
-	err := firstErr
-	if err == nil {
-		err = sub.run(func() bool {
-			for _, c := range tclones {
-				if c.State == job.Queued {
-					return false
-				}
-			}
-			return true
-		})
+// launch runs a seeded fair world to completion on a goroutine of its
+// own and marks its targets' fair starts pending. This is sound because
+// a fair start feeds only accounting — the collector's unfair count, the
+// validity trace, Result.FairStarts — and no scheduling decision, tuner
+// input or later fork reads it; the fork already copied everything the
+// world needs, so the main engine may keep scheduling. The main
+// goroutine stays the only writer of fairStarts: results are copied in
+// by join. A non-nil err (from a caller that already stepped the world)
+// skips the run and records the failure outcome.
+func (o *fairOracle) launch(fw *fairWorld, err error) {
+	for _, c := range fw.targets {
+		o.e.fairStarts[c.ID] = fairPending
 	}
-	for i, t := range targets {
-		c := tclones[i]
+	for len(o.flight) >= maxInFlight() {
+		o.joinOldest()
+	}
+	o.flight = append(o.flight, fw)
+	go fw.run(err)
+}
+
+// joinOldest waits for the oldest world in flight, records its targets'
+// fair starts, and returns it to the idle pool — or drops it, once the
+// pool exceeds what the current cap can use (it shrinks when other
+// fairness runs start).
+func (o *fairOracle) joinOldest() {
+	fw := o.flight[0]
+	o.flight = o.flight[:copy(o.flight, o.flight[1:])]
+	err := <-fw.done
+	for _, c := range fw.targets {
+		start := c.Start
 		if err != nil || (c.State != job.Running && c.State != job.Finished && c.State != job.Killed) {
-			o.e.fairStarts[t.ID] = units.Forever // should not happen: the queue always drains
-			continue
+			start = units.Forever // should not happen: the queue always drains
 		}
-		o.e.fairStarts[t.ID] = c.Start
+		o.e.fairStarts[c.ID] = start
+	}
+	if len(o.free)+len(o.flight) < maxInFlight()+1 {
+		o.free = append(o.free, fw)
+	}
+}
+
+// joinAll waits for every world in flight, so that every fair start is
+// final.
+func (o *fairOracle) joinAll() {
+	for len(o.flight) > 0 {
+		o.joinOldest()
 	}
 }
 
@@ -236,7 +324,7 @@ func (o *fairOracle) beginPass() {
 		return
 	}
 	o.passQueue = append(o.passQueue[:0], o.e.queue.jobs()...)
-	o.passSched = o.e.scheduler.Clone()
+	o.passSched = cloneScheduler(o.e.scheduler, o.passSched)
 	o.passBegins = o.passBegins[:0]
 	o.passDefer = true
 }
@@ -292,7 +380,7 @@ func (o *fairOracle) endPass(checkpoint bool) {
 			// next completion.
 			diverged = len(o.passBegins) > 0 || rep.Mutated
 			if diverged {
-				o.runWorld(o.seed(b, o.passQueue, o.passSched, o.passBegins), b.jobs, nil)
+				o.launch(o.seed(b, o.passQueue, o.passSched, o.passBegins), nil)
 			}
 		} else if horizon > b.t {
 			// The horizon cannot rule divergence out; replay the pass
@@ -312,7 +400,6 @@ func (o *fairOracle) endPass(checkpoint bool) {
 		e.beginEffects(pb.j, pb.a)
 	}
 	o.passBegins = o.passBegins[:0]
-	o.passSched = nil
 }
 
 // resolveOrEcho handles a batch the pass horizon could not keep glued:
@@ -352,13 +439,14 @@ func (o *fairOracle) resolveOrEcho(b pendingBatch, checkpoint bool) (glued bool)
 	if checkpoint {
 		checkAt = o.e.now
 	}
-	sub := o.seed(b, o.passQueue, o.passSched, o.passBegins)
-	o.world.armGrids(o.e.nextTick, checkAt, true)
-	_, err := sub.step()
-	if err == nil && echoable && o.passEchoed(sub) {
+	fw := o.seed(b, o.passQueue, o.passSched, o.passBegins)
+	fw.armGrids(o.e.nextTick, checkAt, true)
+	_, err := fw.sub.step()
+	if err == nil && echoable && o.passEchoed(fw.sub) {
+		o.free = append(o.free, fw)
 		return true
 	}
-	o.runWorld(sub, b.jobs, err)
+	o.launch(fw, err)
 	return false
 }
 

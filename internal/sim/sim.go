@@ -67,7 +67,8 @@ type Config struct {
 	// gets the start it would have had if no job arrived after it, under
 	// the current policy. Most arrival batches resolve for free against
 	// the main schedule; only a batch the schedule diverges from pays
-	// for a nested no-later-arrival simulation (see fairOracle). Exact,
+	// for a nested no-later-arrival simulation (see fairOracle), which
+	// runs on another processor while the main schedule advances. Exact,
 	// but still the dominant cost of a run that enables it; leave off
 	// when the unfair-job count is not needed.
 	Fairness bool
@@ -353,8 +354,15 @@ func (e *engine) anchorGrids(first units.Time) {
 }
 
 // run drives the event loop until no events remain or stop returns true
-// (used by nested simulations to halt once the target job starts).
+// (used by nested simulations to halt once the target job starts). It
+// returns with no fair world in flight, so Run, RunStream and
+// Live.Drain hand back final fair starts.
 func (e *engine) run(stop func() bool) error {
+	if e.cfg.Fairness && !e.sub {
+		fairRuns.Add(1) // splits the in-flight cap (see maxInFlight)
+		defer fairRuns.Add(-1)
+	}
+	defer e.fair.joinAll()
 	e.processed = 0
 	for {
 		if stop != nil && stop() {
@@ -754,12 +762,19 @@ func effectiveRuntime(j *job.Job) units.Duration {
 // the free-path fair-start resolution of a still-deferred job, the
 // validity trace's start record, and the collector update. During a
 // deferring pass these run at the oracle's endPass, after any diverged
-// batch has resolved, so the values recorded here are final.
+// batch has forked, and a fair world still in flight is joined before
+// its value is read, so the values recorded here are final.
 func (e *engine) beginEffects(j *job.Job, a machine.Alloc) {
 	if e.fair.startedGlued(j) {
 		e.fairStarts[j.ID] = e.now // the free path: the fair start is the actual start
 	}
 	fair, known := e.fairStarts[j.ID]
+	for known && fair == fairPending {
+		// The job's fair world is still in flight: join worlds, oldest
+		// first, until it has landed.
+		e.fair.joinOldest()
+		fair = e.fairStarts[j.ID]
+	}
 	if e.rec != nil {
 		// The validity trace records the start's true footprint:
 		// the occupied midplanes and the whole-partition node count

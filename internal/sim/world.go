@@ -18,17 +18,19 @@ import (
 // one place, the reference oracle aside, that knows how a live engine
 // becomes one.
 //
-// Every buffer a fork writes lives on the world, never on the parent,
-// because the what-if forks of one parent run concurrently. All of them
-// are reused from fork to fork — the nested engine with its event queue
-// and queue storage, the in-place machine clone, the job arena, the
-// retired scheduler's scratch — so a steady fork cadence allocates only
-// what the caller's scheduler clone does.
+// A forked world shares nothing mutable with its parent: every buffer it
+// writes lives on the world, and it holds no pointer into the parent's
+// state. That is what lets the what-if forks of one parent run
+// concurrently with each other, and a diverged fairness world run on its
+// own goroutine while the parent keeps scheduling (see fairOracle). All
+// of the buffers are reused from fork to fork — the nested engine with
+// its event queue and queue storage, the in-place machine clone, the job
+// arena, the scheduler cloned into the previous fork's retired one — so
+// a warm fork allocates nothing.
 type world struct {
-	sub   *engine         // the nested engine, rebuilt in place by every fork
-	arena []job.Job       // the fork's job clones: its queue in arrival order, then its running set
-	order []*job.Job      // the parent's running set in ID order
-	prev  sched.Scheduler // the previous fork's scheduler, kept only as a scratch-buffer donor
+	sub   *engine    // the nested engine, rebuilt in place by every fork
+	arena []job.Job  // the fork's job clones: its queue in arrival order, then its running set
+	order []*job.Job // the parent's running set in ID order
 }
 
 // passBegin records one start performed during a scheduling pass:
@@ -39,16 +41,29 @@ type passBegin struct {
 	a machine.Alloc
 }
 
-// scratchAdopter is implemented by schedulers whose fresh clones can
-// transplant warm scratch buffers from a retired clone of the same
-// scheduler (core.MetricAware and its tuner do).
-type scratchAdopter interface {
-	AdoptScratch(sched.Scheduler)
+// inPlaceCloner is implemented by schedulers that can clone themselves
+// into a retired instance of the same type, which keeps its own scratch
+// buffers (core.MetricAware and core.Tuner do) — the scheduler
+// counterpart of machine.InPlaceCloner. A nil or mistyped dst gets a
+// plain Clone.
+type inPlaceCloner interface {
+	CloneInto(dst sched.Scheduler) sched.Scheduler
+}
+
+// cloneScheduler clones s, into dst's storage when s supports in-place
+// cloning and dst is a retired instance (nil for none).
+func cloneScheduler(s, dst sched.Scheduler) sched.Scheduler {
+	if c, ok := s.(inPlaceCloner); ok {
+		return c.CloneInto(dst)
+	}
+	return s.Clone()
 }
 
 // fork rebuilds the world from parent's state at its current instant,
-// to be scheduled by s — a scheduler the world owns from here on (the
-// oracle passes a clone of the frozen policy, the tuner a candidate).
+// to be scheduled by a clone of s that the world owns (the oracle passes
+// the frozen policy, the tuner a candidate; neither is used by the world
+// itself, so the caller may keep using s). The clone lands in the
+// previous fork's retired scheduler where s supports that.
 // The world holds queueView filtered to jobs submitted at or before
 // cutoff, and parent's machine and running set with the starts in begun
 // rewound: begun carries the starts a scheduling pass already performed
@@ -69,12 +84,8 @@ func (w *world) fork(parent *engine, s sched.Scheduler, queueView []*job.Job, cu
 	for _, pb := range begun {
 		sub.machine.Release(pb.a, parent.now)
 	}
-	sub.scheduler = s
-	if ad, ok := s.(scratchAdopter); ok && w.prev != nil {
-		ad.AdoptScratch(w.prev)
-	}
-	w.prev = s
-	sub.collector = parent.collector // read-only use; never written in sub runs
+	sub.scheduler = cloneScheduler(s, sub.scheduler)
+	sub.collector = nil // a nested engine samples, retunes and reports nothing
 	sub.events.Reset()
 	sub.queue.reset()
 	clear(sub.running)

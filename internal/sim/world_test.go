@@ -116,7 +116,7 @@ func TestWorldFork(t *testing.T) {
 
 				var w world
 				forkAndRun := func() [32]byte {
-					sub := w.fork(e, e.scheduler.Clone(), view, f.cutoff, begun)
+					sub := w.fork(e, e.scheduler, view, f.cutoff, begun)
 					w.armGrids(e.now, e.nextCheck, true)
 
 					// (b) the cutoff filters exactly the later submissions.
@@ -170,17 +170,24 @@ func TestWorldFork(t *testing.T) {
 
 				// (d) the world is reusable: the same fork again gives the
 				// same schedule, and once warm a fork allocates nothing
-				// beyond the scheduler clone it is handed.
+				// beyond a plain scheduler clone — nothing at all for a
+				// policy that clones into the previous fork's retired one.
 				if forkAndRun() != first {
 					t.Error("re-fork from the same parent state scheduled differently")
 				}
-				clone := testing.AllocsPerRun(50, func() { _ = e.scheduler.Clone() })
+				want := 0.0
+				if _, ok := e.scheduler.(inPlaceCloner); !ok {
+					want = testing.AllocsPerRun(50, func() { _ = e.scheduler.Clone() })
+				}
 				fork := testing.AllocsPerRun(50, func() {
-					w.fork(e, e.scheduler.Clone(), view, f.cutoff, begun)
+					w.fork(e, e.scheduler, view, f.cutoff, begun)
 					w.armGrids(e.now, e.nextCheck, true)
 				})
-				if fork > clone {
-					t.Errorf("a warm fork allocates %v objects, its scheduler clone %v", fork, clone)
+				if fork > want {
+					t.Errorf("a warm fork allocates %v objects, want %v", fork, want)
+				}
+				if w.sub.scheduler == e.scheduler || w.sub.collector != nil {
+					t.Error("the fork shares the parent's scheduler or collector")
 				}
 			})
 		}
