@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench-smoke load-smoke whatif-smoke tournament-smoke fuzz fuzz-corpus verify benchmark profile run-daemon clean
+.PHONY: all build test race vet bench-smoke load-smoke whatif-smoke tournament-smoke fuzz fuzz-corpus verify benchmark profile loc run-daemon clean
 
 all: build
 
@@ -106,6 +106,14 @@ profile:
 		-cpuprofile fair-cpu.prof -memprofile fair-mem.prof .
 	$(GO) test -timeout 10m -run '^$$' -bench 'DaemonCycle' -benchtime 10x \
 		-cpuprofile daemon-cpu.prof -memprofile daemon-mem.prof ./internal/server
+
+# loc prints the Go line counts a simplicity change reports: every line
+# of every non-test .go file outside benchmarks/ and inside it, then the
+# test lines (hidden directories such as .bench_build/ are skipped).
+loc:
+	@echo "non-test Go outside benchmarks/: $$(find . -path './.*' -prune -o -path ./benchmarks -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)"
+	@echo "non-test Go inside benchmarks/:  $$(find benchmarks -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@echo "test Go:                         $$(find . -path './.*' -prune -o -name '*_test.go' -print | xargs cat | wc -l)"
 
 # run-daemon boots a local scheduling daemon at 60x wall speed on the
 # 512-node synthetic machine; see README "Running the daemon".

@@ -10,19 +10,19 @@
 //	amjs-load -addr http://127.0.0.1:8080 -trace sample
 //	amjs-load -trace intrepid.swf -accel 3600 -workers 4
 //	amjs-load -trace gen -max 100000 -batch 256          # batched, full speed
-//	amjs-load -trace gen -batch 256 -curve 20000,50000,100000 -step-dur 3s -json curve.json
+//	amjs-load -trace gen -batch 256 -curve 20000,50000,100000 -step-dur 3s
 //
 // With -accel 0 and -rate 0 (the defaults) jobs are submitted back to
 // back — a closed-loop saturation test. -rate R offers an open-loop
 // load of R jobs/s; -curve sweeps a list of offered rates for
 // -step-dur each and reports the achieved rate at every step — the
-// saturation curve. -batch N packs N jobs per POST /v1/jobs array
-// (count-only responses), the high-throughput wire mode. -trace-times
-// forwards the trace's submit instants in the request body, which a
-// speedup=inf daemon honors verbatim (requires -workers 1 to keep them
-// monotonic). -json writes a BENCH-style artifact; -min-rate fails the
-// run when the peak achieved rate lands below the floor (the CI smoke
-// gate).
+// saturation curve, which the closed-loop daemon-ingest benchmark
+// workload does not measure. -batch N packs N jobs per POST /v1/jobs
+// array (count-only responses), the high-throughput wire mode.
+// -trace-times forwards the trace's submit instants in the request
+// body, which a speedup=inf daemon honors verbatim (requires -workers 1
+// to keep them monotonic). -min-rate fails the run when the peak
+// achieved rate lands below the floor (the CI smoke gate).
 package main
 
 import (
@@ -31,17 +31,15 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"os"
-	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"amjs/internal/job"
+	"amjs/internal/stats"
 	"amjs/internal/units"
 	"amjs/internal/workload"
 )
@@ -132,10 +130,7 @@ func run(args []string, out io.Writer) error {
 		batch      = fs.Int("batch", 0, "jobs per POST (0 or 1 = single-job requests; >1 = array batches)")
 		ppn        = fs.Int("ppn", 1, "processors per node in the trace")
 		traceTimes = fs.Bool("trace-times", false, "forward trace submit times (speedup=inf daemon, single worker)")
-		jsonOut    = fs.String("json", "", "write a BENCH-style JSON artifact to this path")
 		minRate    = fs.Float64("min-rate", 0, "fail unless the peak achieved rate reaches this floor (jobs/s)")
-		baseNote   = fs.String("baseline-note", "", "note describing the embedded baseline (with -baseline-rate)")
-		baseRate   = fs.Float64("baseline-rate", 0, "pre-change submissions/s to embed as the artifact baseline")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -160,7 +155,7 @@ func run(args []string, out io.Writer) error {
 	}
 	client := newLoadClient(*workers)
 
-	var steps []*summary
+	peak := 0.0
 	if *curve != "" {
 		rates, err := parseCurve(*curve)
 		if err != nil {
@@ -183,7 +178,9 @@ func run(args []string, out io.Writer) error {
 				return err
 			}
 			s.Skipped = src.Skipped()
-			steps = append(steps, s)
+			if s.PerSec > peak {
+				peak = s.PerSec
+			}
 			report(out, fmt.Sprintf("%s @ %s", name, offeredLabel(r)), s)
 			fmt.Fprintln(out)
 		}
@@ -194,22 +191,10 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		s.Skipped = src.Skipped()
-		steps = append(steps, s)
+		peak = s.PerSec
 		report(out, name, s)
 	}
 
-	peak := 0.0
-	for _, s := range steps {
-		if s.PerSec > peak {
-			peak = s.PerSec
-		}
-	}
-	if *jsonOut != "" {
-		if err := writeArtifact(*jsonOut, cfg, steps, peak, *baseNote, *baseRate); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "artifact:   %s\n", *jsonOut)
-	}
 	if *minRate > 0 && peak < *minRate {
 		return fmt.Errorf("peak achieved rate %.0f jobs/s below the -min-rate floor %.0f", peak, *minRate)
 	}
@@ -477,32 +462,14 @@ func replay(client *http.Client, cfg loadConfig, src jobSource) (*summary, error
 			}
 		}
 	}
-	sort.Float64s(lats)
 	if wall > 0 {
 		s.PerSec = float64(s.Accepted) / wall
 	}
-	if n := len(lats); n > 0 {
-		s.P50 = percentile(lats, 0.50)
-		s.P90 = percentile(lats, 0.90)
-		s.P99 = percentile(lats, 0.99)
-		s.Max = lats[n-1]
-	}
+	s.P50 = stats.Percentile(lats, 50)
+	s.P90 = stats.Percentile(lats, 90)
+	s.P99 = stats.Percentile(lats, 99)
+	s.Max = stats.Max(lats)
 	return s, nil
-}
-
-// percentile reads the q-quantile from a sorted sample.
-func percentile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }
 
 func report(out io.Writer, name string, s *summary) {
@@ -514,109 +481,4 @@ func report(out io.Writer, name string, s *summary) {
 	for _, e := range s.FirstErrs {
 		fmt.Fprintf(out, "error:      %s\n", e)
 	}
-}
-
-// --- artifact output --------------------------------------------------
-
-type artifactBench struct {
-	Name       string  `json:"name"`
-	NsPerOp    float64 `json:"ns_per_op"`
-	JobsPerSec float64 `json:"jobs_per_sec"`
-}
-
-type artifactStep struct {
-	OfferedPerSec  float64 `json:"offered_per_sec"` // 0 = unbounded
-	AchievedPerSec float64 `json:"achieved_per_sec"`
-	Jobs           int     `json:"jobs"`
-	APIErrors      int     `json:"api_errors"`
-	ConnErrors     int     `json:"conn_errors"`
-	P50Ms          float64 `json:"p50_ms"`
-	P90Ms          float64 `json:"p90_ms"`
-	P99Ms          float64 `json:"p99_ms"`
-}
-
-type artifact struct {
-	Date string `json:"date"`
-	Go   string `json:"go"`
-	Env  struct {
-		GoMaxProcs int    `json:"gomaxprocs"`
-		CPU        string `json:"cpu"`
-	} `json:"env"`
-	Note     string `json:"note,omitempty"`
-	Baseline *struct {
-		Note       string          `json:"note"`
-		Benchmarks []artifactBench `json:"benchmarks"`
-	} `json:"baseline,omitempty"`
-	Benchmarks  []artifactBench `json:"benchmarks"`
-	IngestCurve []artifactStep  `json:"ingest_curve"`
-}
-
-// writeArtifact renders the run as a JSON benchmark artifact: each
-// step becomes an IngestHTTP/... entry (ns_per_op = 1e9/achieved
-// rate) and the saturation curve is embedded verbatim.
-func writeArtifact(path string, cfg loadConfig, steps []*summary, peak float64, baseNote string, baseRate float64) error {
-	a := artifact{
-		Date: time.Now().UTC().Format(time.RFC3339),
-		Go:   runtime.Version(),
-	}
-	a.Env.GoMaxProcs = runtime.GOMAXPROCS(0)
-	a.Env.CPU = cpuModel()
-	batch := cfg.batch
-	if batch < 1 {
-		batch = 1
-	}
-	for _, s := range steps {
-		name := fmt.Sprintf("IngestHTTP/batch=%d/offered=%s", batch, rateToken(s.Offered))
-		if s.PerSec > 0 {
-			a.Benchmarks = append(a.Benchmarks, artifactBench{
-				Name: name, NsPerOp: 1e9 / s.PerSec, JobsPerSec: s.PerSec,
-			})
-		}
-		a.IngestCurve = append(a.IngestCurve, artifactStep{
-			OfferedPerSec: s.Offered, AchievedPerSec: s.PerSec, Jobs: s.Jobs,
-			APIErrors: s.APIErrors, ConnErrors: s.ConnErrors,
-			P50Ms: s.P50, P90Ms: s.P90, P99Ms: s.P99,
-		})
-	}
-	if peak > 0 {
-		a.Benchmarks = append(a.Benchmarks, artifactBench{
-			Name: "IngestHTTP/peak", NsPerOp: 1e9 / peak, JobsPerSec: peak,
-		})
-	}
-	if baseRate > 0 {
-		a.Baseline = &struct {
-			Note       string          `json:"note"`
-			Benchmarks []artifactBench `json:"benchmarks"`
-		}{
-			Note: baseNote,
-			Benchmarks: []artifactBench{{
-				Name: "IngestHTTP/peak", NsPerOp: 1e9 / baseRate, JobsPerSec: baseRate,
-			}},
-		}
-	}
-	data, err := json.MarshalIndent(&a, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func rateToken(r float64) string {
-	if r <= 0 {
-		return "max"
-	}
-	return strconv.Itoa(int(r))
-}
-
-func cpuModel() string {
-	data, err := os.ReadFile("/proc/cpuinfo")
-	if err != nil {
-		return "unknown"
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if name, ok := strings.CutPrefix(line, "model name"); ok {
-			return strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(name), ":"))
-		}
-	}
-	return "unknown"
 }

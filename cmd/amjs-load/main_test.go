@@ -2,14 +2,13 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
 	"math"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -175,11 +174,10 @@ func TestRunSampleTrace(t *testing.T) {
 	}
 }
 
-// A curve run sweeps offered rates and writes the BENCH-style artifact
-// with the saturation curve embedded.
-func TestRunCurveArtifact(t *testing.T) {
+// A curve run sweeps offered rates and reports every step: the
+// saturation curve, each achieved rate paced by its offered one.
+func TestRunCurve(t *testing.T) {
 	_, srv := bootDaemon(t, 512)
-	path := filepath.Join(t.TempDir(), "bench.json")
 	var out bytes.Buffer
 	err := run([]string{
 		"-addr", srv.URL,
@@ -187,41 +185,27 @@ func TestRunCurveArtifact(t *testing.T) {
 		"-batch", "64",
 		"-curve", "2000,4000",
 		"-step-dur", "300ms",
-		"-json", path,
 		"-min-rate", "1000",
-		"-baseline-note", "test baseline",
-		"-baseline-rate", "1000",
 	}, &out)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out.String())
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a artifact
-	if err := json.Unmarshal(raw, &a); err != nil {
-		t.Fatal(err)
-	}
-	if len(a.IngestCurve) != 2 || len(a.Benchmarks) != 3 { // 2 steps + peak
-		t.Fatalf("artifact: %d curve steps, %d benchmarks", len(a.IngestCurve), len(a.Benchmarks))
+	steps := regexp.MustCompile(`gen @ (\d+)/s offered[^\n]*\n[^\n]*\((\d+) submissions/s\)`).
+		FindAllStringSubmatch(out.String(), -1)
+	if len(steps) != 2 {
+		t.Fatalf("want 2 curve steps in the report, got %d:\n%s", len(steps), out.String())
 	}
 	for i, want := range []float64{2000, 4000} {
-		st := a.IngestCurve[i]
-		if st.OfferedPerSec != want || st.AchievedPerSec <= 0 {
-			t.Fatalf("step %d: %+v", i, st)
+		offered, _ := strconv.ParseFloat(steps[i][1], 64)
+		achieved, _ := strconv.ParseFloat(steps[i][2], 64)
+		if offered != want || achieved <= 0 {
+			t.Fatalf("step %d: offered %v, achieved %v", i, offered, achieved)
 		}
 		// Offered pacing: achieved must not wildly exceed offered.
-		if st.AchievedPerSec > want*1.5 {
+		if achieved > want*1.5 {
 			t.Errorf("step %d achieved %.0f against offered %.0f — pacing broken",
-				i, st.AchievedPerSec, want)
+				i, achieved, want)
 		}
-	}
-	if a.Baseline == nil || a.Baseline.Benchmarks[0].JobsPerSec != 1000 {
-		t.Fatalf("baseline missing: %+v", a.Baseline)
-	}
-	if a.Benchmarks[len(a.Benchmarks)-1].Name != "IngestHTTP/peak" {
-		t.Fatalf("peak benchmark missing: %+v", a.Benchmarks)
 	}
 }
 

@@ -9,6 +9,14 @@
 //
 //	amjs-tournament -workloads mini,swf:trace.swf -machines partition:8x64 \
 //	    -policies tournament -jobs 200 -csv league.csv -json league.json
+//
+// A balance-factor x window-size grid (the paper's Figure 3 study) is a
+// list of metric:BF:W specs; each cell reports avg/max wait, avg/max
+// BSLD, utilization, LoC, mean queue depth and, with -fairness, the
+// unfair-job count:
+//
+//	amjs-tournament -workloads intrepid -fairness -csv grid.csv \
+//	    -policies metric:1:1,metric:1:4,metric:0.5:1,metric:0.5:4
 package main
 
 import (

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -69,6 +71,40 @@ func TestTournamentRuns(t *testing.T) {
 	}
 }
 
+// A BF × W grid (the paper's Fig. 3 study) is a list of metric: specs:
+// a 2×2 grid with fairness on yields one cell per configuration, each
+// with a numeric unfair count.
+func TestTournamentMetricGrid(t *testing.T) {
+	csvPath := filepath.Join(t.TempDir(), "grid.csv")
+	var out bytes.Buffer
+	err := run(&out, "partition:8x64", "mini", "3", "metric:1:1,metric:1:2,metric:0.5:1,metric:0.5:2",
+		50, true, 2, "", csvPath, "")
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	f, err := os.Open(csvPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	recs, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 5 { // header + 2x2 grid
+		t.Fatalf("csv rows = %d", len(recs))
+	}
+	col := slices.Index(recs[0], "unfair")
+	if col < 0 {
+		t.Fatalf("csv header has no unfair column: %v", recs[0])
+	}
+	for _, r := range recs[1:] {
+		if _, err := strconv.Atoi(r[col]); err != nil {
+			t.Errorf("%s: unfair count %q is not a number", r[2], r[col])
+		}
+	}
+}
+
 // TestTournamentDeterministicAcrossWorkers is the command-level contract
 // from the issue: identical artifacts whatever the worker count.
 func TestTournamentDeterministicAcrossWorkers(t *testing.T) {
@@ -124,5 +160,23 @@ func TestTournamentErrors(t *testing.T) {
 	}
 	if err := run(&out, "", "mini", "1", "fcfs", 5, false, 1, "", "", ""); err == nil {
 		t.Error("empty machine list accepted")
+	}
+}
+
+// A BF × W grid rejects an out-of-range cell (BF > 1 or W < 1) and a
+// bad workload or machine, as the grid study's inputs.
+func TestTournamentMetricGridErrors(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(&out, "flat:8", "mini", "1", "metric:1:1,metric:2:1", 10, false, 1, "", "", ""); err == nil {
+		t.Error("BF=2 accepted")
+	}
+	if err := run(&out, "flat:8", "mini", "1", "metric:1:1,metric:0.5:0", 10, false, 1, "", "", ""); err == nil {
+		t.Error("W=0 accepted")
+	}
+	if err := run(&out, "flat:8", "bogus", "1", "metric:1:1", 10, false, 1, "", "", ""); err == nil {
+		t.Error("bogus workload accepted")
+	}
+	if err := run(&out, "bogus", "mini", "1", "metric:1:1", 10, false, 1, "", "", ""); err == nil {
+		t.Error("bogus machine accepted")
 	}
 }

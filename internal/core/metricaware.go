@@ -214,18 +214,6 @@ func (s *MetricAware) ProtectedReservation() (jobID int, start units.Time, held 
 	return s.reservedID, s.reservedStart, true
 }
 
-// JobRemoved implements sched.Evictor: when a queued job is withdrawn
-// (cancelled) without starting, the persistent protected reservation is
-// released if that job held it, so the next pass re-grants protection
-// from the live queue instead of re-committing a phantom. The
-// window-search incumbent needs no invalidation here — it is pass-local
-// scratch that never outlives a Schedule call.
-func (s *MetricAware) JobRemoved(id int) {
-	if s.reservedID == id {
-		s.reservedID = 0
-	}
-}
-
 // LastPass implements sched.PassReporter; see the contracts on
 // sched.PassReport. Bounded is false when the pass ran under a custom
 // order hook, whose dependence on the queue the scheduler cannot bound.
@@ -311,7 +299,8 @@ func (s *MetricAware) Schedule(env sched.Env) {
 	// Re-commit the persistent protected reservation first, so nothing
 	// scheduled this pass can delay it. The fresh earliest start can
 	// only improve on the one committed last pass (jobs never outlive
-	// their walltimes).
+	// their walltimes). A holder that left the queue without starting
+	// (a cancel) is not found, so protection is released here.
 	reserved := false
 	acted := -1
 	blocked := s.blockedBuf
@@ -779,25 +768,4 @@ func (ps *permSearch) dfs(depth int, span units.Time, nodesNow int) {
 		}
 		ps.used[c] = false
 	}
-}
-
-// nextPermutation advances p to the next lexicographic permutation,
-// returning false once p was the last one.
-func nextPermutation(p []int) bool {
-	i := len(p) - 2
-	for i >= 0 && p[i] >= p[i+1] {
-		i--
-	}
-	if i < 0 {
-		return false
-	}
-	j := len(p) - 1
-	for p[j] <= p[i] {
-		j--
-	}
-	p[i], p[j] = p[j], p[i]
-	for l, r := i+1, len(p)-1; l < r; l, r = l+1, r-1 {
-		p[l], p[r] = p[r], p[l]
-	}
-	return true
 }

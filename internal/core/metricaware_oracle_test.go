@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"amjs/internal/invariant"
 	"amjs/internal/job"
 	"amjs/internal/machine"
 	"amjs/internal/units"
@@ -48,7 +49,7 @@ func exhaustiveBestPermutation(plan machine.Plan, window []*job.Job, now units.T
 		return span < bestSpan || (span == bestSpan && nodes > bestNodes)
 	}
 	perm := append([]int(nil), identity...)
-	for nextPermutation(perm) {
+	for invariant.NextPermutation(perm) {
 		span, nodes := evalPermutationClone(plan, window, perm, now)
 		if better(span, nodes) {
 			bestSpan, bestNodes = span, nodes

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"amjs/internal/invariant"
 	"amjs/internal/job"
 	"amjs/internal/machine"
 	"amjs/internal/sched"
@@ -36,11 +37,14 @@ func TestNewMetricAwareValidation(t *testing.T) {
 	}
 }
 
+// The TestNextPermutation family pins invariant.NextPermutation, the
+// enumerator behind both exhaustive window oracles this package's tests
+// lean on (VerifyWindow and exhaustiveBestPermutation).
 func TestNextPermutation(t *testing.T) {
 	p := []int{0, 1, 2}
 	var seen [][]int
 	seen = append(seen, append([]int(nil), p...))
-	for nextPermutation(p) {
+	for invariant.NextPermutation(p) {
 		seen = append(seen, append([]int(nil), p...))
 	}
 	want := [][]int{
@@ -93,7 +97,7 @@ func TestNextPermutationExhaustive(t *testing.T) {
 		}
 		var seen [][]int
 		seen = append(seen, append([]int(nil), p...))
-		for nextPermutation(p) {
+		for invariant.NextPermutation(p) {
 			seen = append(seen, append([]int(nil), p...))
 		}
 		if want := refPermutations(n); !reflect.DeepEqual(seen, want) {
@@ -106,7 +110,7 @@ func TestNextPermutationEdgeCases(t *testing.T) {
 	// The last (descending) permutation has no successor; the slice must
 	// be left untouched so callers can still read the final ordering.
 	last := []int{3, 2, 1, 0}
-	if nextPermutation(last) {
+	if invariant.NextPermutation(last) {
 		t.Error("advanced past the last permutation")
 	}
 	if !reflect.DeepEqual(last, []int{3, 2, 1, 0}) {
@@ -114,10 +118,10 @@ func TestNextPermutationEdgeCases(t *testing.T) {
 	}
 
 	single := []int{0}
-	if nextPermutation(single) {
+	if invariant.NextPermutation(single) {
 		t.Error("single-element slice reported a successor")
 	}
-	if nextPermutation(nil) {
+	if invariant.NextPermutation(nil) {
 		t.Error("empty slice reported a successor")
 	}
 }
@@ -130,7 +134,7 @@ func TestNextPermutationCountProperty(t *testing.T) {
 			p[i] = i
 		}
 		count := 1
-		for nextPermutation(p) {
+		for invariant.NextPermutation(p) {
 			count++
 		}
 		if count != fact[n] {

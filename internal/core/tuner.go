@@ -7,6 +7,7 @@ import (
 	"amjs/internal/invariant"
 	"amjs/internal/sched"
 	"amjs/internal/units"
+	"amjs/internal/whatif"
 )
 
 // Tunable identifies a scheduling-policy parameter the adaptive
@@ -34,20 +35,15 @@ func (t Tunable) String() string {
 // Monitor evaluates a monitored metric M against its trigger conditions
 // and reports which tuning event fired: +1 for E_p (apply +Δ), -1 for
 // E_m (apply -Δ), 0 for neither.
+//
+// A monitor carries no mutable state, like the two value-type threshold
+// monitors below: Tuner.Clone copies it into every engine fork as is.
+// The what-if planner is the one stateful monitor, and the Tuner
+// recognises it by type, deep-copying it on Clone and asking it for a
+// joint (BF, W) proposal instead of a direction.
 type Monitor interface {
 	Direction(env sched.Env, m sched.MetricsView) int
 	Describe() string
-}
-
-// MonitorCloner is implemented by monitors that carry mutable state (a
-// decision log, counters — the what-if planner does). Tuner.Clone
-// deep-copies them so no engine fork — a fairness-oracle world, a
-// pass-defer snapshot, a second Live session built from the same
-// Config — ever shares a stateful monitor with the original. The
-// returned value must satisfy Monitor; the any return keeps
-// implementations outside core free of an import cycle.
-type MonitorCloner interface {
-	CloneMonitor() any
 }
 
 // QueueDepthMonitor watches the queue-depth metric (the sum of the
@@ -184,11 +180,10 @@ func NewTuner(schemes ...Scheme) *Tuner {
 		if err := s.Validate(); err != nil {
 			panic(err.Error())
 		}
-		if init, ok := s.Monitor.(initialSetter); ok {
-			// A joint scheme (what-if) seeds both tunables at once.
-			bf, w := init.InitialTunables()
-			base.BF = bf
-			base.W = w
+		if p, ok := s.Monitor.(*whatif.Planner); ok {
+			// A what-if scheme seeds both tunables at once.
+			cfg := p.Config()
+			base.BF, base.W = cfg.InitialBF, cfg.InitialW
 			continue
 		}
 		applyTunable(base, s.Target, s.Initial)
@@ -200,8 +195,8 @@ func NewTuner(schemes ...Scheme) *Tuner {
 func (t *Tuner) Name() string {
 	parts := make([]string, len(t.schemes))
 	for i, s := range t.schemes {
-		if n, ok := s.Monitor.(interface{ SchemeName() string }); ok {
-			parts[i] = n.SchemeName()
+		if _, ok := s.Monitor.(*whatif.Planner); ok {
+			parts[i] = "whatif"
 		} else {
 			parts[i] = s.Target.String()
 		}
@@ -222,12 +217,11 @@ func (t *Tuner) Schedule(env sched.Env) { t.base.Schedule(env) }
 // tuning state; in nested (fairness-oracle) simulations no checkpoints
 // fire, so the policy stays frozen there, as DESIGN.md specifies.
 //
-// The schemes slice is copied, and monitors that declare mutable state
-// (MonitorCloner) are deep-copied with it: before that fix the rebuilt
-// slice still aliased the original's Monitor interface values, so a
-// stateful monitor was silently shared across every fork — harmless
-// for the value-type threshold monitors, a cross-session leak for the
-// what-if planner's counters and decision log. The wrapped policy is
+// The schemes slice is copied, and the what-if planner, the one
+// stateful monitor, is deep-copied with it, so no engine fork — a
+// fairness-oracle world, a pass-defer snapshot, a second Live session
+// built from the same Config — writes the original's counters or
+// decision log. The wrapped policy is
 // cloned through MetricAware.CloneInto, never copied by value: a value
 // copy would share its scratch buffers with the original, which races
 // once a fairness world runs the clone next to the main engine.
@@ -244,18 +238,12 @@ func (t *Tuner) CloneInto(dst sched.Scheduler) sched.Scheduler {
 	d.base = t.base.CloneInto(d.base).(*MetricAware)
 	d.schemes = append(d.schemes[:0], t.schemes...)
 	for i := range d.schemes {
-		if mc, ok := d.schemes[i].Monitor.(MonitorCloner); ok {
-			if m, ok := mc.CloneMonitor().(Monitor); ok {
-				d.schemes[i].Monitor = m
-			}
+		if p, ok := d.schemes[i].Monitor.(*whatif.Planner); ok {
+			d.schemes[i].Monitor = p.CloneMonitor()
 		}
 	}
 	return d
 }
-
-// JobRemoved implements sched.Evictor by forwarding to the wrapped
-// scheduler, which may hold a protected reservation for the job.
-func (t *Tuner) JobRemoved(id int) { t.base.JobRemoved(id) }
 
 // LastPass implements sched.PassReporter by delegation: the pass
 // outcome is the wrapped policy's, so its horizon and its quiescence
@@ -300,13 +288,14 @@ func (t *Tuner) TuningRules() ([]invariant.TuningRule, bool) {
 }
 
 // Checkpoint implements sched.Adaptive. Threshold schemes walk their
-// tunable by ±Δ as Algorithm 1 specifies; a joint-proposal scheme (the
-// what-if planner) instead returns a complete (BF, W) pair, which is
-// applied atomically when the planner commits.
+// tunable by ±Δ as Algorithm 1 specifies; a what-if scheme instead
+// proposes a complete (BF, W) pair from lookahead rollouts over
+// candidates t.candidate builds, applied atomically when the planner
+// commits.
 func (t *Tuner) Checkpoint(env sched.Env, m sched.MetricsView) {
 	for _, s := range t.schemes {
-		if jp, ok := s.Monitor.(jointProposer); ok {
-			bf, w, commit := jp.Propose(env, m, t.base.BF, t.base.W, t.candidate)
+		if p, ok := s.Monitor.(*whatif.Planner); ok {
+			bf, w, commit := p.Propose(env, m, t.base.BF, t.base.W, t.candidate)
 			if commit {
 				t.base.BF = bf
 				t.base.W = w

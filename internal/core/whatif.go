@@ -26,21 +26,6 @@ func WhatIf(p *whatif.Planner) Scheme {
 	}
 }
 
-// jointProposer is the what-if planner's checkpoint hook: instead of a
-// ±Δ direction it proposes a complete (BF, W) pair, built from
-// lookahead rollouts over candidates the factory constructs. Checked
-// structurally so core depends only on the method, not the package.
-type jointProposer interface {
-	Propose(env sched.Env, m sched.MetricsView, bf float64, w int,
-		mk func(bf float64, w int) sched.Scheduler) (float64, int, bool)
-}
-
-// initialSetter lets a joint scheme seed both tunables at construction
-// (a Scheme's Initial covers only its own Target).
-type initialSetter interface {
-	InitialTunables() (float64, int)
-}
-
 // candidate builds an independent scheduler configured with candidate
 // tunables for what-if rollouts: a clone of the wrapped policy —
 // reservation state preserved, scratch buffers fresh — with (BF, W)

@@ -11,51 +11,16 @@ import (
 	"amjs/internal/whatif"
 )
 
-// countingMonitor is a stateful monitor: each Direction call bumps a
-// counter. It exists to pin Tuner.Clone's deep-copy contract — before
-// the MonitorCloner path, clones shared the schemes slice and a
-// stateful monitor's mutations leaked across engine forks.
-type countingMonitor struct {
-	calls int
-}
-
-func (c *countingMonitor) Direction(sched.Env, sched.MetricsView) int {
-	c.calls++
-	return 0
-}
-func (c *countingMonitor) Describe() string  { return "counting" }
-func (c *countingMonitor) CloneMonitor() any { return &countingMonitor{calls: c.calls} }
-
-func TestTunerCloneDeepCopiesStatefulMonitors(t *testing.T) {
-	mon := &countingMonitor{}
-	tu := NewTuner(Scheme{
-		Target: TunableBF, Initial: 1, Delta: 0.5, Min: 0.5, Max: 1, Monitor: mon,
-	})
-	tu.Checkpoint(env(), fakeMetrics{})
-	if mon.calls != 1 {
-		t.Fatalf("monitor saw %d checkpoints, want 1", mon.calls)
-	}
-	c := tu.Clone().(*Tuner)
-	// Five checkpoints on the clone must not touch the original's monitor.
-	for i := 0; i < 5; i++ {
-		c.Checkpoint(env(), fakeMetrics{})
-	}
-	if mon.calls != 1 {
-		t.Errorf("clone checkpoints leaked into the original monitor: %d calls", mon.calls)
-	}
-	// And the clone's copy carried the accrued state forward.
-	tu.Checkpoint(env(), fakeMetrics{})
-	if mon.calls != 2 {
-		t.Errorf("original monitor broken after cloning: %d calls", mon.calls)
-	}
-}
-
+// The what-if planner is the one stateful monitor: a clone gets its own,
+// and checkpoints on the clone never reach the original's counters.
 func TestTunerCloneIsolatesWhatIfPlanner(t *testing.T) {
-	p := whatif.NewPlanner(whatif.Config{})
+	p := whatif.NewPlanner(whatif.Config{BFGrid: []float64{0.5, 1}, WGrid: []int{1}})
 	tu := NewTuner(WhatIf(p))
 	if got, ok := tu.WhatIfPlanner(); !ok || got != p {
 		t.Fatal("WhatIfPlanner does not return the configured planner")
 	}
+	e := lookEnvWithQueue()
+	tu.Checkpoint(e, e)
 	c := tu.Clone().(*Tuner)
 	cp, ok := c.WhatIfPlanner()
 	if !ok || cp == nil {
@@ -63,6 +28,15 @@ func TestTunerCloneIsolatesWhatIfPlanner(t *testing.T) {
 	}
 	if cp == p {
 		t.Fatal("clone shares the original planner — fork decisions would corrupt the live log")
+	}
+	for i := 0; i < 5; i++ {
+		c.Checkpoint(e, e)
+	}
+	if got := p.Status().Ticks; got != 1 {
+		t.Errorf("clone checkpoints leaked into the original planner: %d ticks, want 1", got)
+	}
+	if got := cp.Status().Ticks; got != 5 {
+		t.Errorf("clone planner saw %d ticks, want 5", got)
 	}
 }
 

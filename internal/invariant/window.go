@@ -74,7 +74,7 @@ func VerifyWindow(plan machine.Plan, window []*job.Job, now units.Time, chosen [
 	}
 	copy(best, perm)
 	bestSpan, bestNodes := eval(perm)
-	for nextPermutation(perm) {
+	for NextPermutation(perm) {
 		span, nodes := eval(perm)
 		better := span < bestSpan || (span == bestSpan && nodes > bestNodes)
 		if utilFirst {
@@ -100,11 +100,12 @@ func VerifyWindow(plan machine.Plan, window []*job.Job, now units.Time, chosen [
 	return nil
 }
 
-// nextPermutation advances p to its lexicographic successor, returning
-// false after the final (descending) permutation. Deliberately
-// reimplemented here rather than shared with the scheduler: the oracle
-// must not inherit a bug from the code it audits.
-func nextPermutation(p []int) bool {
+// NextPermutation advances p to its lexicographic successor, returning
+// false after the final (descending) permutation. The exhaustive
+// oracles (VerifyWindow, and core's test-tree reference search) walk
+// every window order with it; the audited branch-and-bound search
+// enumerates prefixes by DFS and shares nothing with it.
+func NextPermutation(p []int) bool {
 	i := len(p) - 2
 	for i >= 0 && p[i] >= p[i+1] {
 		i--

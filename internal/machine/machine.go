@@ -147,7 +147,9 @@ type PlanMark int
 // returned; otherwise a fresh Clone is allocated. The fairness oracle
 // re-clones the machine on every nested no-later-arrival run and
 // retires the clone when the run completes, so reusing it makes forks
-// allocation-free after the first. dst must not be in use.
+// allocation-free after the first. dst must not be in use. It stays an
+// optional capability, not part of Machine, because Torus has no
+// CloneInto.
 type InPlaceCloner interface {
 	CloneInto(dst Machine) Machine
 }
@@ -182,6 +184,9 @@ type PlanCloner interface {
 // Recycle they must not touch it again — the machine will reset and
 // return it from a future Plan call. Plans from a different machine
 // instance (a clone's plan offered to the original) are ignored.
+// Partition is its one implementer; it stays until a recycler hit-rate
+// counter shows whether the pool pays, and the benchmark's plan probes
+// assert it.
 type PlanRecycler interface {
 	Recycle(Plan)
 }

@@ -93,17 +93,6 @@ type InvariantChecker interface {
 	InvariantChecking() bool
 }
 
-// Evictor is implemented by schedulers that carry per-job state across
-// scheduling passes (a persistent protected reservation, a window
-// incumbent). The environment calls JobRemoved when a queued job leaves
-// the system other than by starting — cancellation, today — so that no
-// stale reservation referencing the departed job can survive into a
-// later pass and delay backfill. Policies that rebuild all reservation
-// state from the queue every pass need not implement it.
-type Evictor interface {
-	JobRemoved(id int)
-}
-
 // PassReporter is implemented by schedulers that can describe, after
 // each Schedule call, how far the pass reached and what it left behind.
 // The engine always reads the claims together — the fairness oracle to

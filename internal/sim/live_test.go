@@ -8,6 +8,7 @@ import (
 	"amjs/internal/core"
 	"amjs/internal/job"
 	"amjs/internal/machine"
+	"amjs/internal/sched"
 	"amjs/internal/stats"
 	"amjs/internal/units"
 	"amjs/internal/workload"
@@ -101,23 +102,32 @@ func TestLiveEquivalence(t *testing.T) {
 // candidate previously blocked by it starts immediately instead of
 // waiting for the reservation's start instant.
 func TestLiveCancelReservedJob(t *testing.T) {
+	metric := func() sched.Scheduler { return core.NewMetricAware(0.5, 5) }
+	// The Tuner holds its reservation in the wrapped MetricAware; the
+	// threshold schemes keep BF=1, W=1 over this trace.
+	tuner := func() sched.Scheduler {
+		return core.NewTuner(core.PaperBFScheme(1000), core.PaperWScheme())
+	}
 	cases := map[string]struct {
 		period    units.Duration
+		scheduler func() sched.Scheduler
 		wantStart units.Time // j3's start after the cancel
 	}{
 		// Event-driven: the next pass after the cancel runs at the
 		// t=1800 checkpoint.
-		"event": {period: 0, wantStart: 1800},
+		"event":       {period: 0, scheduler: metric, wantStart: 1800},
+		"event-tuner": {period: 0, scheduler: tuner, wantStart: 1800},
 		// Periodic: the cancel dirties the engine, so the tick right
 		// after the cancel horizon (t=130) runs a real pass.
-		"periodic": {period: 10 * units.Second, wantStart: 130},
+		"periodic":       {period: 10 * units.Second, scheduler: metric, wantStart: 130},
+		"periodic-tuner": {period: 10 * units.Second, scheduler: tuner, wantStart: 130},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
 			mk := func() (*Live, *job.Job, *job.Job, *job.Job) {
 				l, err := NewLive(Config{
 					Machine:        machine.NewFlat(100),
-					Scheduler:      core.NewMetricAware(0.5, 5),
+					Scheduler:      tc.scheduler(),
 					SchedulePeriod: tc.period,
 					Paranoid:       true,
 				}, false)

@@ -583,19 +583,17 @@ func (e *engine) step() (bool, error) {
 }
 
 // cancelQueued withdraws a waiting job from the system: it leaves the
-// queue, any per-job state the policy carried for it (the persistent
-// EASY reservation, most importantly) is invalidated through the
-// sched.Evictor notification, and the next due scheduling pass can no
-// longer be elided — the freed reservation may unblock backfill even
-// though no nodes changed state.
+// queue, and the next due scheduling pass can no longer be elided — a
+// reservation the job held may have blocked backfill even though no
+// nodes change state. That pass drops the reservation itself: a policy
+// with a persistent protected reservation (MetricAware) re-commits it
+// only for a holder still in the queue, and the reservation is read
+// only after an executed pass.
 func (e *engine) cancelQueued(j *job.Job) {
 	e.fair.cancelling(j) // while j is still queued, as the worlds it diverges have it
 	j.State = job.Cancelled
 	e.queue.remove(j)
 	e.dirty = true
-	if ev, ok := e.scheduler.(sched.Evictor); ok {
-		ev.JobRemoved(j.ID)
-	}
 	if e.cfg.Trace != nil {
 		e.trace("cancel job=%d", j.ID)
 	}

@@ -45,7 +45,9 @@ type passBegin struct {
 // into a retired instance of the same type, which keeps its own scratch
 // buffers (core.MetricAware and core.Tuner do) — the scheduler
 // counterpart of machine.InPlaceCloner. A nil or mistyped dst gets a
-// plain Clone.
+// plain Clone. It stays optional because only those two hold scratch
+// worth keeping: List and Reserving hold none, so a plain Clone is
+// already all they need.
 type inPlaceCloner interface {
 	CloneInto(dst sched.Scheduler) sched.Scheduler
 }

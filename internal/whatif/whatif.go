@@ -7,7 +7,7 @@
 // objective, and commits the winner as the next tunables.
 //
 // The planner plugs into core.Tuner as a scheme monitor (core.WhatIf):
-// the tuner detects its joint-proposal interface at checkpoints and
+// the tuner recognises a *Planner at checkpoints, calls Propose and
 // applies the returned pair directly, bypassing the ±Δ walk. In batch
 // simulations the lookahead horizon is free — virtual time costs only
 // CPU — while a live daemon caps each tick with a wall-clock budget.
@@ -228,11 +228,12 @@ type pair struct {
 }
 
 // Planner evaluates the candidate grid at every checkpoint and decides
-// the next tunables. It implements core.Monitor (so core.WhatIf slots
-// it into a Tuner scheme) and the tuner's joint-proposal hook. A
-// Planner instance belongs to one scheduler clone; core.Tuner
-// deep-copies it on Clone (CloneMonitor), so forks accrue their own
-// counters and the live engine's log is never written concurrently.
+// the next tunables. It implements core.Monitor, so core.WhatIf slots
+// it into a Tuner scheme; the Tuner recognises the *Planner by type and
+// calls Propose at each checkpoint instead of Direction. A Planner
+// instance belongs to one scheduler clone; core.Tuner deep-copies it on
+// Clone (CloneMonitor), so forks accrue their own counters and the live
+// engine's log is never written concurrently.
 type Planner struct {
 	cfg Config
 
@@ -273,7 +274,7 @@ func (p *Planner) SetObserve(on bool) { p.cfg.Observe = on }
 // run serially; see Config.Workers).
 func (p *Planner) SetWorkers(n int) { p.cfg.Workers = n }
 
-// Describe implements core.Monitor (structurally).
+// Describe implements core.Monitor.
 func (p *Planner) Describe() string {
 	return fmt.Sprintf("whatif(%s,horizon=%dm,grid=%dx%d)",
 		p.cfg.Objective, p.cfg.Horizon/units.Minute, len(p.cfg.BFGrid), len(p.cfg.WGrid))
@@ -284,21 +285,12 @@ func (p *Planner) Describe() string {
 // fires a ±Δ walk.
 func (p *Planner) Direction(sched.Env, sched.MetricsView) int { return 0 }
 
-// SchemeName names the scheme in the tuner's policy name.
-func (p *Planner) SchemeName() string { return "whatif" }
-
-// InitialTunables reports the starting (BF, W) pair core.NewTuner
-// applies to the wrapped policy.
-func (p *Planner) InitialTunables() (float64, int) {
-	return p.cfg.InitialBF, p.cfg.InitialW
-}
-
-// CloneMonitor implements core.MonitorCloner: a fresh planner with the
-// same configuration and no accrued state. Nested engine forks (the
-// fairness oracle, pass-defer snapshots) never fire checkpoints, so
-// their planners stay inert; the deep copy exists so no fork can ever
-// write this planner's counters or log.
-func (p *Planner) CloneMonitor() any { return NewPlanner(p.cfg) }
+// CloneMonitor is core.Tuner's deep copy of the planner: a fresh
+// planner with the same configuration and no accrued state. Nested
+// engine forks (the fairness oracle, pass-defer snapshots) never fire
+// checkpoints, so their planners stay inert; the deep copy exists so no
+// fork can ever write this planner's counters or log.
+func (p *Planner) CloneMonitor() *Planner { return NewPlanner(p.cfg) }
 
 // Propose is the tuner's joint-proposal hook (see core.Tuner): called
 // at each checkpoint with the incumbent pair and a factory that builds

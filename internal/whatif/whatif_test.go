@@ -67,8 +67,8 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.LogCap != 32 {
 		t.Errorf("default log cap %d", cfg.LogCap)
 	}
-	if bf, w := p.InitialTunables(); bf != 1 || w != 1 {
-		t.Errorf("default initial tunables (%g, %d)", bf, w)
+	if cfg.InitialBF != 1 || cfg.InitialW != 1 {
+		t.Errorf("default initial tunables (%g, %d)", cfg.InitialBF, cfg.InitialW)
 	}
 }
 
@@ -268,10 +268,7 @@ func TestCloneMonitorIsFresh(t *testing.T) {
 	env := &fakeLookEnv{fakeEnv: fakeEnv{queue: []*job.Job{queuedJob()}}}
 	env.scores = []float64{10, 1}
 	p.Propose(env, env, 1, 1, mkFactory(t))
-	c, ok := p.CloneMonitor().(*Planner)
-	if !ok {
-		t.Fatal("CloneMonitor did not return a *Planner")
-	}
+	c := p.CloneMonitor()
 	if c == p {
 		t.Fatal("CloneMonitor returned the receiver")
 	}
