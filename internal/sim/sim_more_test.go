@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"encoding/hex"
 	"strings"
 	"testing"
 
@@ -211,3 +212,37 @@ func TestEventTrace(t *testing.T) {
 		}
 	}
 }
+
+// TestMultiMetricScheduleHash pins the §V multi-metric scheduler's
+// exact schedule, and the fairness oracle's fair starts over it, on a
+// seeded trace: a change to how the queue is ranked must not move a
+// single start.
+func TestMultiMetricScheduleHash(t *testing.T) {
+	cfg := workload.Mini(17)
+	cfg.MaxJobs = 120
+	jobs, err := cfg.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := run(t, Config{
+		Machine:   machine.NewPartition(8, 64),
+		Scheduler: core.NewMultiMetric(2, core.WaitScorer(0.5), core.SmallJobScorer(0.3), core.LowCostScorer(0.2)),
+		Fairness:  true,
+	}, jobs)
+	h := scheduleHash(res)
+	if got := hex.EncodeToString(h[:]); got != multiMetricHash {
+		t.Errorf("schedule hash %s, want %s", got, multiMetricHash)
+	}
+	var fair units.Duration
+	for id, ts := range res.FairStarts {
+		fair += units.Duration(ts) * units.Duration(id)
+	}
+	if fair != multiMetricFair {
+		t.Errorf("fair-start checksum %d, want %d", fair, multiMetricFair)
+	}
+}
+
+const (
+	multiMetricHash = "3aa3400a013831311e1a96b8206e8a50b922b0609ca753335a874332d5898bca"
+	multiMetricFair = 857042133
+)
