@@ -52,7 +52,7 @@ load-smoke:
 whatif-smoke:
 	./scripts/whatif_smoke.sh
 
-# tournament-smoke plays a mini cross-trace policy league (8 policies x
+# tournament-smoke plays a mini cross-trace policy league (9 policies x
 # {synthetic, SWF} traces) end to end through amjs-tournament, asserting
 # the artifact schema, per-trace rank sanity, and byte-identical output
 # at workers=1 and workers=8 (see scripts/tournament_smoke.sh).

@@ -119,12 +119,6 @@ func NewRelaxed(slack Duration) Scheduler { return sched.NewRelaxed(slack) }
 // recent usage (exponential half-life), with EASY backfilling.
 func NewFairShare(halfLife Duration) Scheduler { return sched.NewFairShare(halfLife) }
 
-// NewUtility compiles a Cobalt-style utility expression — e.g.
-// "(wait/walltime)^3 * nodes" — into a highest-score-first scheduler
-// with EASY backfilling. Variables: wait, walltime, nodes, queued,
-// submit; functions: log, log10, sqrt, abs, min, max, pow.
-func NewUtility(expression string) (Scheduler, error) { return sched.NewUtility(expression) }
-
 // WalltimePredictor learns per-user walltime accuracy (the companion
 // IPDPS 2010 adjustment this paper builds on).
 type WalltimePredictor = predict.Predictor
@@ -208,8 +202,9 @@ func NewWhatIfPlanner(cfg WhatIfConfig) *WhatIfPlanner { return whatif.NewPlanne
 // simulation-in-the-loop (BF, W) adaptation.
 func WhatIfScheme(p *WhatIfPlanner) Scheme { return core.WhatIf(p) }
 
-// Scorer contributes one normalized metric to a multi-metric priority
-// (the generalization of Eq. 3 the paper's future work calls for).
+// Scorer weights one normalized job feature (wait, short, large, small
+// or lowcost) in a multi-metric priority — the generalization of Eq. 3
+// the paper's future work calls for.
 type Scorer = core.Scorer
 
 // Built-in scorers for NewMultiMetric.

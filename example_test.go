@@ -76,13 +76,11 @@ func ExampleReadSWF() {
 	// 10 jobs, 0 skipped, first requests 64 nodes
 }
 
-// ExampleNewUtility compiles a custom utility policy.
-func ExampleNewUtility() {
-	s, err := amjs.NewUtility("(wait/walltime)^3 * nodes")
-	if err != nil {
-		panic(err)
-	}
+// ExampleNewMultiMetric ranks the queue by a custom weighted mix of
+// normalized job features.
+func ExampleNewMultiMetric() {
+	s := amjs.NewMultiMetric(4, amjs.WaitScorer(0.5), amjs.LargeJobScorer(0.25), amjs.ShortJobScorer(0.25))
 	fmt.Println(s.Name())
 	// Output:
-	// utility((wait/walltime)^3 * nodes)
+	// multi-metric(wait:0.5,large:0.25,short:0.25,w=4)
 }

@@ -118,8 +118,7 @@ var PolicySpecs = []string{
 	"unicef", "largest", "smallest", "dynp",
 	"fairshare[:HALFLIFE-HOURS]",
 	"relaxed:SLACK-MINUTES",
-	"utility:EXPR",
-	"metric:BF:W[:conservative]",
+	"metric:{BF,NAME=WEIGHT+...}:W[:conservative]",
 	"adaptive:{bf,w,2d}[:THRESHOLD]",
 	"whatif[:OBJ[:HORIZON-H[:observe]]]",
 }
@@ -131,9 +130,13 @@ var PolicySpecs = []string{
 //	unicef | largest | smallest        zoo orders with EASY backfilling
 //	fairshare[:HALFLIFE-HOURS]         decayed-usage fair share
 //	relaxed:SLACK-MINUTES              relaxed backfilling (Ward et al.)
-//	utility:EXPR                       Cobalt-style utility expression,
-//	                                   e.g. utility:(wait/walltime)^3*nodes
-//	metric:BF:W[:conservative]         metric-aware scheduling
+//	metric:BF:W[:conservative]         metric-aware scheduling (Eq. 3)
+//	metric:NAME=WEIGHT+...:W[:conservative]
+//	                                   metric-aware scheduling over a
+//	                                   weighted feature mix (§V), NAME
+//	                                   one of wait, short, large, small,
+//	                                   lowcost; e.g.
+//	                                   metric:wait=0.5+large=0.25+short=0.25:4
 //	adaptive:bf:THRESHOLD              adaptive balance factor
 //	adaptive:w                         adaptive window size
 //	adaptive:2d:THRESHOLD              two-dimensional tuning
@@ -175,9 +178,6 @@ func ParsePolicy(spec string) (sched.Scheduler, error) {
 	case "fairshare":
 		return sched.NewFairShare(24 * units.Hour), nil
 	}
-	if strings.HasPrefix(spec, "utility:") {
-		return sched.NewUtility(spec[len("utility:"):])
-	}
 	parts := strings.Split(spec, ":")
 	switch parts[0] {
 	case "relaxed":
@@ -200,17 +200,26 @@ func ParsePolicy(spec string) (sched.Scheduler, error) {
 		return sched.NewFairShare(units.Hours(hours)), nil
 	case "metric":
 		if len(parts) < 3 || len(parts) > 4 {
-			return nil, fmt.Errorf("cli: bad metric policy %q (want metric:BF:W)", spec)
-		}
-		bf, err := strconv.ParseFloat(parts[1], 64)
-		if err != nil || bf < 0 || bf > 1 {
-			return nil, fmt.Errorf("cli: bad balance factor in %q", spec)
+			return nil, fmt.Errorf("cli: bad metric policy %q (want metric:BF:W or metric:NAME=WEIGHT+...:W)", spec)
 		}
 		w, err := strconv.Atoi(parts[2])
 		if err != nil || w < 1 {
 			return nil, fmt.Errorf("cli: bad window size in %q", spec)
 		}
-		s := core.NewMetricAware(bf, w)
+		var s *core.MetricAware
+		if strings.Contains(parts[1], "=") {
+			scorers, err := parseScorers(parts[1])
+			if err != nil {
+				return nil, fmt.Errorf("cli: bad scorers in %q: %w", spec, err)
+			}
+			s = core.NewMultiMetric(w, scorers...)
+		} else {
+			bf, err := strconv.ParseFloat(parts[1], 64)
+			if err != nil || bf < 0 || bf > 1 {
+				return nil, fmt.Errorf("cli: bad balance factor in %q", spec)
+			}
+			s = core.NewMetricAware(bf, w)
+		}
 		if len(parts) == 4 {
 			if parts[3] != "conservative" {
 				return nil, fmt.Errorf("cli: bad metric policy suffix %q", parts[3])
@@ -270,6 +279,25 @@ func ParsePolicy(spec string) (sched.Scheduler, error) {
 		return nil, fmt.Errorf("cli: unknown policy %q (accepted: %s)",
 			spec, strings.Join(PolicySpecs, ", "))
 	}
+}
+
+// parseScorers reads a metric spec's NAME=WEIGHT+NAME=WEIGHT... scorer
+// list. '+' joins the terms because policy lists split on commas.
+func parseScorers(list string) ([]core.Scorer, error) {
+	var out []core.Scorer
+	for _, term := range strings.Split(list, "+") {
+		name, weight, ok := strings.Cut(term, "=")
+		v, err := strconv.ParseFloat(weight, 64)
+		if !ok || err != nil {
+			return nil, fmt.Errorf("bad scorer %q (want NAME=WEIGHT)", term)
+		}
+		sc := core.Scorer{Name: name, Weight: v}
+		if err := sc.Validate(); err != nil {
+			return nil, err
+		}
+		out = append(out, sc)
+	}
+	return out, nil
 }
 
 // TournamentPolicies is the default cross-trace tournament zoo: every

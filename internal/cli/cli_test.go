@@ -146,12 +146,11 @@ func TestParsePolicy(t *testing.T) {
 // family — and demands each parses, names itself, and clones cleanly.
 func TestParsePolicyRoundTrip(t *testing.T) {
 	concrete := map[string]string{
-		"fairshare[:HALFLIFE-HOURS]":         "fairshare:12",
-		"relaxed:SLACK-MINUTES":              "relaxed:15",
-		"utility:EXPR":                       "utility:(wait/walltime)^3*nodes",
-		"metric:BF:W[:conservative]":         "metric:0.5:4:conservative",
-		"adaptive:{bf,w,2d}[:THRESHOLD]":     "adaptive:2d:500",
-		"whatif[:OBJ[:HORIZON-H[:observe]]]": "whatif:bsld:4:observe",
+		"fairshare[:HALFLIFE-HOURS]":                   "fairshare:12",
+		"relaxed:SLACK-MINUTES":                        "relaxed:15",
+		"metric:{BF,NAME=WEIGHT+...}:W[:conservative]": "metric:wait=0.5+large=0.25+short=0.25:4:conservative",
+		"adaptive:{bf,w,2d}[:THRESHOLD]":               "adaptive:2d:500",
+		"whatif[:OBJ[:HORIZON-H[:observe]]]":           "whatif:bsld:4:observe",
 	}
 	for _, doc := range PolicySpecs {
 		spec := doc
@@ -255,15 +254,26 @@ func TestParseMachineTorus(t *testing.T) {
 	}
 }
 
-func TestParsePolicyUtility(t *testing.T) {
-	s, err := ParsePolicy("utility:(wait/walltime)^3*nodes")
+func TestParsePolicyScorers(t *testing.T) {
+	s, err := ParsePolicy("metric:wait=0.5+large=0.25+short=0.25:4")
 	if err != nil {
-		t.Fatalf("utility parse: %v", err)
+		t.Fatalf("scorer parse: %v", err)
 	}
-	if !strings.Contains(s.Name(), "utility(") {
-		t.Errorf("Name = %q", s.Name())
+	if got, want := s.Name(), "multi-metric(wait:0.5,large:0.25,short:0.25,w=4)"; got != want {
+		t.Errorf("Name = %q, want %q", got, want)
 	}
-	if _, err := ParsePolicy("utility:wait +"); err == nil {
-		t.Error("bad utility expression accepted")
+	s, err = ParsePolicy("metric:lowcost=1:2:conservative")
+	if err != nil || !s.(*core.MetricAware).Conservative {
+		t.Errorf("conservative scorer parse wrong: %v %v", s, err)
+	}
+	for _, bad := range []string{
+		"metric:wait=NaN:4", "metric:wait=Inf:4", "metric:wait=-Inf+short=1:4",
+		"metric:age=1:4", "metric:wait=0.5+:4", "metric:wait:4", "metric:=1:4",
+		"metric:wait=0.5+short:4", "metric:wait=1e309:4", "metric:wait=1:0",
+		"utility:(wait/walltime)^3*nodes",
+	} {
+		if _, err := ParsePolicy(bad); err == nil {
+			t.Errorf("accepted %q", bad)
+		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 // (every expanded spec parses individually, no duplicates). The
 // committed corpus (testdata/fuzz/FuzzPolicySpec) seeds the valid
 // grammar plus the historically sharp edges: empty segments, huge
-// numbers, trailing colons, comma lists.
+// numbers, trailing colons, comma lists, non-finite scorer weights.
 func FuzzPolicySpec(f *testing.F) {
 	for _, s := range []string{
 		"", "easy", "fcfs", "unicef", "smallest", "tournament",
@@ -22,6 +22,7 @@ func FuzzPolicySpec(f *testing.F) {
 		"metric:1e309:4", "adaptive:bf:99999999999999999999",
 		"whatif:blend:", "utility:wait^", "a,b,c,d,e,f,g,h,i,j",
 		"metric:0.5:4,metric:0.5:4", ":::::", "fairshare:-0",
+		"metric:wait=0.5+large=0.25+short=0.25:4", "metric:wait=0.5++short=NaN:4",
 	} {
 		f.Add(s)
 	}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"amjs/internal/invariant"
 	"amjs/internal/job"
@@ -23,7 +25,8 @@ const maxPermWindow = 7
 // MetricAware is the paper's metric-aware scheduler (§III-B):
 //
 //	Steps 1–4  Queued jobs are scored by ScoreWait and ScoreRuntime and
-//	           sorted by the balanced priority S_p = BF*S_w + (1-BF)*S_r.
+//	           sorted by the balanced priority S_p = BF*S_w + (1-BF)*S_r
+//	           (or by any weighted Scorer set; see NewMultiMetric).
 //	Step 5     The sorted queue is processed in windows of W jobs. Every
 //	           permutation of a window is placed (greedily: run now if
 //	           possible, otherwise reserve the earliest feasible slot)
@@ -97,11 +100,10 @@ type MetricAware struct {
 	// Horizon and Bounded: the submit-time horizon of the pass's
 	// outcome. Every started job, every reservation the pass committed,
 	// every job in a window up to and including the last acted-on
-	// window, and the earliest holders of the queue's walltime extrema
-	// (which anchor the ScoreRuntime scale) contribute their submit
-	// times; a pass whose outcome provably reached no deeper than H
-	// behaves identically on any submit-prefix of the queue that extends
-	// to H.
+	// window, and the earliest holders of the scoring features' queue
+	// anchors (prioScratch.aggHorizon) contribute their submit times; a
+	// pass whose outcome provably reached no deeper than H behaves
+	// identically on any submit-prefix of the queue that extends to H.
 	//
 	// Quiescent: true when the pass started nothing, so repeating it on
 	// unchanged state at any later instant is provably the same no-op
@@ -116,12 +118,9 @@ type MetricAware struct {
 	// entry.
 	last sched.PassReport
 
-	// order overrides the queue prioritization when non-nil (used by the
-	// multi-metric extension); the default is Prioritize with BF.
-	order func(now units.Time, queue []*job.Job) []*job.Job
-
-	// nameOverride replaces the default Name when non-empty.
-	nameOverride string
+	// scorers ranks the queue when non-nil (NewMultiMetric); nil means
+	// Eq. (3) over the live BF, which the Tuner writes.
+	scorers []Scorer
 
 	// search and prio are the reusable scratch state of the
 	// branch-and-bound window search and the priority scoring pass —
@@ -149,12 +148,16 @@ func NewMetricAware(bf float64, w int) *MetricAware {
 
 // Name implements sched.Scheduler.
 func (s *MetricAware) Name() string {
-	if s.nameOverride != "" {
-		return s.nameOverride
-	}
 	suffix := ""
 	if s.Conservative {
 		suffix = ",conservative"
+	}
+	if s.scorers != nil {
+		terms := make([]string, len(s.scorers))
+		for i, sc := range s.scorers {
+			terms[i] = fmt.Sprintf("%s:%g", sc.Name, sc.Weight)
+		}
+		return fmt.Sprintf("multi-metric(%s,w=%d%s)", strings.Join(terms, ","), s.W, suffix)
 	}
 	return fmt.Sprintf("metric-aware(bf=%g,w=%d%s)", s.BF, s.W, suffix)
 }
@@ -215,18 +218,12 @@ func (s *MetricAware) ProtectedReservation() (jobID int, start units.Time, held 
 }
 
 // LastPass implements sched.PassReporter; see the contracts on
-// sched.PassReport. Bounded is false when the pass ran under a custom
-// order hook, whose dependence on the queue the scheduler cannot bound.
-// The protected reservation's holder is the only persistent decision
-// input, so a pass mutated state exactly when reservedID changed.
+// sched.PassReport. Every pass is Bounded: whatever the scorers, the
+// ranking depends on the queue only through each job's own features and
+// the feature anchors that prioScratch.aggHorizon covers. The protected
+// reservation's holder is the only persistent decision input, so a pass
+// mutated state exactly when reservedID changed.
 func (s *MetricAware) LastPass() sched.PassReport { return s.last }
-
-// placement is one job's slot in a tentative window schedule.
-type placement struct {
-	j     *job.Job
-	start units.Time
-	hint  int
-}
 
 // Schedule implements sched.Scheduler.
 func (s *MetricAware) Schedule(env sched.Env) {
@@ -278,18 +275,16 @@ func (s *MetricAware) Schedule(env sched.Env) {
 		}
 	}
 
-	var sorted []*job.Job
-	aggHorizon := units.Time(0)
-	if s.order != nil {
-		sorted = s.order(now, queue)
-		s.last.Bounded = false
-	} else {
-		if s.prio == nil {
-			s.prio = &prioScratch{}
-		}
-		sorted = s.prio.prioritize(now, queue, s.BF)
-		aggHorizon = s.prio.aggHorizon
+	if s.prio == nil {
+		s.prio = &prioScratch{}
 	}
+	scorers := s.scorers
+	if scorers == nil {
+		bf := balanced(s.BF)
+		scorers = bf[:]
+	}
+	sorted := s.prio.prioritize(now, queue, scorers)
+	aggHorizon := s.prio.aggHorizon
 	plan := env.Machine().Plan(now)
 	w := s.W
 	if w < 1 {
@@ -427,7 +422,7 @@ func (s *MetricAware) Schedule(env sched.Env) {
 		// highest-priority blocked job.
 		if !s.PermOrderReservation && len(blocked) > 0 && (s.Conservative || !reserved) {
 			for _, j := range window {
-				if !contains(blocked, j) {
+				if !slices.Contains(blocked, j) {
 					continue
 				}
 				ts, hint := plan.EarliestStart(j.Nodes, j.Walltime)
@@ -507,16 +502,6 @@ func windowStartableNow(env sched.Env, plan machine.Plan, window []*job.Job) int
 		}
 	}
 	return n
-}
-
-// contains reports whether jobs includes j.
-func contains(jobs []*job.Job, j *job.Job) bool {
-	for _, x := range jobs {
-		if x == j {
-			return true
-		}
-	}
-	return false
 }
 
 // bestPermutation returns the winning window order (indices into

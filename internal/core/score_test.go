@@ -124,7 +124,9 @@ func TestPrioritizeBF0IsSJF(t *testing.T) {
 
 func TestPrioritizeMatchesReferenceOrdersProperty(t *testing.T) {
 	// BF=1 must agree with sched.SubmitOrder and BF=0 with
-	// sched.ShortestFirst on arbitrary queues.
+	// sched.ShortestFirst on arbitrary queues, and each single-feature
+	// scorer with the sched order ranking the same feature: the two
+	// packages share one comparator, sched.ComparePriority.
 	f := func(specs []uint32) bool {
 		if len(specs) > 40 {
 			specs = specs[:40]
@@ -138,9 +140,64 @@ func TestPrioritizeMatchesReferenceOrdersProperty(t *testing.T) {
 		if !reflect.DeepEqual(ids(Prioritize(now, queue, 1)), ids(sched.SubmitOrder(now, queue))) {
 			return false
 		}
-		return reflect.DeepEqual(ids(Prioritize(now, queue, 0)), ids(sched.ShortestFirst(now, queue)))
+		if !reflect.DeepEqual(ids(Prioritize(now, queue, 0)), ids(sched.ShortestFirst(now, queue))) {
+			return false
+		}
+		for _, c := range []struct {
+			sc    Scorer
+			order sched.Order
+		}{
+			{LargeJobScorer(1), sched.LargestFirst},
+			{SmallJobScorer(1), sched.SmallestFirst},
+			{ShortJobScorer(1), sched.ShortestFirst},
+		} {
+			if !reflect.DeepEqual(ids(MultiPrioritize(now, queue, []Scorer{c.sc})), ids(c.order(now, queue))) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
+}
+
+// The scorer pass sums Eq. (3)'s pair from zero; the result must be
+// bit-equal to BalancedPriority, or BF=0.5 goldens would drift.
+func TestBalancedScorerBitEqualProperty(t *testing.T) {
+	f := func(specs []uint32, bfRaw uint8) bool {
+		if len(specs) == 0 {
+			return true
+		}
+		if len(specs) > 40 {
+			specs = specs[:40]
+		}
+		queue := make([]*job.Job, len(specs))
+		for i, s := range specs {
+			queue[i] = schedtest.J(i+1, units.Time(s%5000), 1+int(s%64),
+				units.Duration(60+s%10000), units.Duration(30+s%5000))
+		}
+		now := units.Time(10000)
+		bf := float64(bfRaw) / 255
+		var waitMax units.Duration
+		wallMin, wallMax := queue[0].Walltime, queue[0].Walltime
+		for _, j := range queue {
+			waitMax = max(waitMax, j.WaitAt(now))
+			wallMin, wallMax = min(wallMin, j.Walltime), max(wallMax, j.Walltime)
+		}
+		var p prioScratch
+		sc := balanced(bf)
+		p.prioritize(now, queue, sc[:])
+		for _, e := range p.entries {
+			want := BalancedPriority(ScoreWait(e.j.WaitAt(now), waitMax),
+				ScoreRuntime(e.j.Walltime, wallMin, wallMax), bf)
+			if math.Float64bits(e.score) != math.Float64bits(want) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"math"
-	"sort"
 
 	"amjs/internal/job"
 	"amjs/internal/units"
@@ -69,19 +68,7 @@ func (f *FairShare) decayTo(now units.Time) {
 // order sorts the queue by ascending owner usage (lightest user first),
 // breaking ties by submission order.
 func (f *FairShare) order(queue []*job.Job) []*job.Job {
-	out := append([]*job.Job(nil), queue...)
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		ua, ub := f.usage[a.User], f.usage[b.User]
-		if ua != ub {
-			return ua < ub
-		}
-		if a.Submit != b.Submit {
-			return a.Submit < b.Submit
-		}
-		return a.ID < b.ID
-	})
-	return out
+	return byKey(queue, func(j *job.Job) float64 { return -f.usage[j.User] })
 }
 
 // Schedule implements Scheduler: EASY backfilling over fair-share

@@ -38,7 +38,7 @@ func shuffled(r *rand.Rand, queue []*job.Job) []*job.Job {
 }
 
 // TestOrderProperties walks the full Order registry and asserts, for
-// every zoo order, the contract sortBy promises: the output is a total
+// every zoo order, the contract byKey promises: the output is a total
 // order over the input (a permutation, nothing dropped or invented),
 // deterministic (same input, same output), permutation-invariant
 // (shuffling the queue never changes the result), and non-mutating.

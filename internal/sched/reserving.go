@@ -72,11 +72,6 @@ func NewSmallest() *Reserving {
 	return &Reserving{PolicyName: "smallest", Order: SmallestFirst}
 }
 
-// NewEASYWith returns EASY backfilling over an arbitrary queue order.
-func NewEASYWith(name string, order Order) *Reserving {
-	return &Reserving{PolicyName: name, Order: order}
-}
-
 // Name implements Scheduler.
 func (r *Reserving) Name() string { return r.PolicyName }
 
@@ -162,13 +157,4 @@ func (r *Reserving) scheduleRelaxed(env Env, queue []*job.Job) {
 		}
 	}
 	recyclePlan(env.Machine(), free)
-}
-
-// ReservationFor exposes, for tests and diagnostics, the start time the
-// head job of the given queue order would be reserved at.
-func (r *Reserving) ReservationFor(env Env, j *job.Job) units.Time {
-	plan := env.Machine().Plan(env.Now())
-	ts, _ := plan.EarliestStart(j.Nodes, j.Walltime)
-	recyclePlan(env.Machine(), plan)
-	return ts
 }

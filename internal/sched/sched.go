@@ -1,8 +1,10 @@
 // Package sched defines the scheduler interface the simulator drives
 // and implements the classic baseline policies the paper compares
-// against: FCFS/SJF/LJF list scheduling, EASY and conservative
-// backfilling, a Cobalt-style utility-function policy, and a
-// dynP-style self-tuning policy switcher.
+// against: FCFS/SJF/LJF list scheduling, EASY, conservative and
+// relaxed backfilling over the classic queue orders (WFP, UNICEF,
+// size- and expansion-ordered), fair share, and a dynP-style
+// self-tuning policy switcher. Every priority order ranks by one rule,
+// ComparePriority.
 //
 // The paper's own contribution — metric-aware windowed scheduling with
 // adaptive policy tuning — lives in package core and implements the
@@ -11,7 +13,7 @@ package sched
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"amjs/internal/job"
 	"amjs/internal/machine"
@@ -32,7 +34,7 @@ type Env interface {
 	// Queue returns the waiting jobs in submission order as a shared
 	// read-only view: the same backing array is handed to every caller
 	// and reused across passes, so schedulers must not modify the slice
-	// in place (copy it before reordering — see sortBy) and must not
+	// in place (copy it before reordering — see byKey) and must not
 	// retain it across Schedule calls. The pointed-to jobs are shared
 	// with the engine; schedulers mutate them only through Start/StartAt.
 	Queue() []*job.Job
@@ -115,9 +117,9 @@ type PassReport struct {
 	// {j : j.Submit <= T} would have produced the identical outcome —
 	// the same started jobs with the same placements and the same
 	// post-pass scheduler state. Bounded reports whether the bound is
-	// valid; a pass the scheduler cannot bound (a custom order hook, an
-	// algorithm that inspects every queued job) must leave it false so
-	// the caller assumes the whole queue mattered.
+	// valid; a pass the scheduler cannot bound (an algorithm whose
+	// decisions may hinge on any queued job) must leave it false so the
+	// caller assumes the whole queue mattered.
 	//
 	// The fairness oracle uses the horizon to keep deferred no-later-
 	// arrival worlds glued to the main schedule: a pending batch that
@@ -179,116 +181,78 @@ func recyclePlan(m machine.Machine, pl machine.Plan) {
 // ties are conventionally broken by submission time then ID.
 type Order func(now units.Time, queue []*job.Job) []*job.Job
 
-// sortBy copies queue and sorts it by less, breaking ties by
-// (submit, ID) so that every Order is a total, deterministic order.
-func sortBy(queue []*job.Job, less func(a, b *job.Job) int) []*job.Job {
-	out := append([]*job.Job(nil), queue...)
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if c := less(a, b); c != 0 {
-			return c < 0
-		}
-		if a.Submit != b.Submit {
-			return a.Submit < b.Submit
-		}
-		return a.ID < b.ID
-	})
+// ComparePriority is the one queue-ranking rule every priority order in
+// the repo sorts by: score descending, then submission time, then ID.
+// Scores compare with > and <, so equal scores (and a NaN, which no
+// order produces) fall through to the (submit, ID) tie-break; IDs are
+// unique, so the rule is a strict total order and any sort yields the
+// one sequence a stable sort would. At BF=1 the paper's Eq. 3 scores
+// by wait alone, which ties exactly among jobs submitted at one
+// instant; this tie-break is what makes that order FCFS exactly.
+func ComparePriority(sa float64, a *job.Job, sb float64, b *job.Job) int {
+	switch {
+	case sa > sb:
+		return -1
+	case sa < sb:
+		return 1
+	case a.Submit < b.Submit:
+		return -1
+	case a.Submit > b.Submit:
+		return 1
+	}
+	return a.ID - b.ID
+}
+
+// byKey copies queue and sorts it by key, highest first, under
+// ComparePriority. The key is evaluated inside the comparator, so the
+// copy is the only allocation.
+func byKey(queue []*job.Job, key func(*job.Job) float64) []*job.Job {
+	out := slices.Clone(queue)
+	slices.SortFunc(out, func(a, b *job.Job) int { return ComparePriority(key(a), a, key(b), b) })
 	return out
 }
 
 // SubmitOrder is first-come, first-served.
 func SubmitOrder(_ units.Time, queue []*job.Job) []*job.Job {
-	return sortBy(queue, func(a, b *job.Job) int { return 0 })
+	return byKey(queue, func(*job.Job) float64 { return 0 })
 }
 
 // ShortestFirst orders by requested walltime, shortest first (SJF).
 func ShortestFirst(_ units.Time, queue []*job.Job) []*job.Job {
-	return sortBy(queue, func(a, b *job.Job) int {
-		switch {
-		case a.Walltime < b.Walltime:
-			return -1
-		case a.Walltime > b.Walltime:
-			return 1
-		}
-		return 0
-	})
+	return byKey(queue, func(j *job.Job) float64 { return -float64(j.Walltime) })
 }
 
 // LongestFirst orders by requested walltime, longest first (LJF).
 func LongestFirst(_ units.Time, queue []*job.Job) []*job.Job {
-	return sortBy(queue, func(a, b *job.Job) int {
-		switch {
-		case a.Walltime > b.Walltime:
-			return -1
-		case a.Walltime < b.Walltime:
-			return 1
-		}
-		return 0
-	})
+	return byKey(queue, func(j *job.Job) float64 { return float64(j.Walltime) })
 }
 
 // LargestFirst orders by node request, largest first.
 func LargestFirst(_ units.Time, queue []*job.Job) []*job.Job {
-	return sortBy(queue, func(a, b *job.Job) int {
-		switch {
-		case a.Nodes > b.Nodes:
-			return -1
-		case a.Nodes < b.Nodes:
-			return 1
-		}
-		return 0
-	})
+	return byKey(queue, func(j *job.Job) float64 { return float64(j.Nodes) })
 }
 
 // SmallestFirst orders by node request, smallest first — the packing-
 // friendly counterpart of LargestFirst from the classic zoo.
 func SmallestFirst(_ units.Time, queue []*job.Job) []*job.Job {
-	return sortBy(queue, func(a, b *job.Job) int {
-		switch {
-		case a.Nodes < b.Nodes:
-			return -1
-		case a.Nodes > b.Nodes:
-			return 1
-		}
-		return 0
-	})
+	return byKey(queue, func(j *job.Job) float64 { return -float64(j.Nodes) })
 }
 
 // MaxExpansionFirst orders by expansion factor (wait+walltime)/walltime,
 // largest first — the classic compromise policy mentioned in the paper's
 // introduction.
 func MaxExpansionFirst(now units.Time, queue []*job.Job) []*job.Job {
-	xf := func(j *job.Job) float64 {
+	return byKey(queue, func(j *job.Job) float64 {
 		return float64(j.WaitAt(now)+j.Walltime) / float64(j.Walltime)
-	}
-	return sortBy(queue, func(a, b *job.Job) int {
-		av, bv := xf(a), xf(b)
-		switch {
-		case av > bv:
-			return -1
-		case av < bv:
-			return 1
-		}
-		return 0
 	})
 }
 
 // WFPOrder is the Cobalt-style utility function (WFP3): jobs score
 // (wait/walltime)^3 * nodes, so long-waiting, short, and large jobs rise.
 func WFPOrder(now units.Time, queue []*job.Job) []*job.Job {
-	score := func(j *job.Job) float64 {
+	return byKey(queue, func(j *job.Job) float64 {
 		r := float64(j.WaitAt(now)) / float64(j.Walltime)
 		return r * r * r * float64(j.Nodes)
-	}
-	return sortBy(queue, func(a, b *job.Job) int {
-		av, bv := score(a), score(b)
-		switch {
-		case av > bv:
-			return -1
-		case av < bv:
-			return 1
-		}
-		return 0
 	})
 }
 
@@ -297,22 +261,12 @@ func WFPOrder(now units.Time, queue []*job.Job) []*job.Job {
 // favoring policy from the deep-batch-scheduler zoo, the philosophical
 // opposite of WFP's large-job bias.
 func UNICEFOrder(now units.Time, queue []*job.Job) []*job.Job {
-	score := func(j *job.Job) float64 {
+	return byKey(queue, func(j *job.Job) float64 {
 		denom := math.Log2(float64(j.Nodes)+1) * float64(j.Walltime)
 		if denom <= 0 {
 			return math.Inf(1)
 		}
 		return float64(j.WaitAt(now)) / denom
-	}
-	return sortBy(queue, func(a, b *job.Job) int {
-		av, bv := score(a), score(b)
-		switch {
-		case av > bv:
-			return -1
-		case av < bv:
-			return 1
-		}
-		return 0
 	})
 }
 

@@ -59,6 +59,20 @@ func TestOrders(t *testing.T) {
 	}
 }
 
+// Every zoo order sorts a copy of the queue in place with its key
+// evaluated inside the comparator: the copy is its only allocation.
+func TestOrdersAllocateOnlyTheCopy(t *testing.T) {
+	queue := make([]*job.Job, 64)
+	for i := range queue {
+		queue[i] = schedtest.J(i+1, units.Time(i*37%500), 1+i*13%64, units.Duration(60+i*71%900), 30)
+	}
+	for _, o := range sched.Orders() {
+		if n := testing.AllocsPerRun(20, func() { o.Order(1000, queue) }); n != 1 {
+			t.Errorf("%s: %v allocations per pass, want 1", o.Name, n)
+		}
+	}
+}
+
 func TestOrderTieBreaks(t *testing.T) {
 	a := schedtest.J(2, 10, 5, 100, 50)
 	b := schedtest.J(1, 10, 5, 100, 50)

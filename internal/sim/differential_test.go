@@ -37,8 +37,8 @@ func diffTrace(t *testing.T, seed int64, n int) []*job.Job {
 	return jobs
 }
 
-// TestDifferentialThreeWay sweeps a 3-machine × 7-policy × 4-mode grid
-// (84 seeded configs) and demands that the batch, streaming, and live
+// TestDifferentialThreeWay sweeps a 3-machine × 8-policy × 4-mode grid
+// (96 seeded configs) and demands that the batch, streaming, and live
 // engines produce identical schedules under the full validity oracle:
 // byte-identical event traces, the same per-job starts and final
 // states, and the same reported metrics. Fairness seeds additionally
@@ -53,10 +53,11 @@ func TestDifferentialThreeWay(t *testing.T) {
 		{"partition", func() machine.Machine { return machine.NewPartition(8, 64) }},
 		{"torus", func() machine.Machine { return machine.NewTorus(2, 2, 2, 64) }},
 	}
-	policies := []struct {
+	type policy struct {
 		name string
 		mk   func() sched.Scheduler
-	}{
+	}
+	policies := []policy{
 		{"metricaware", func() sched.Scheduler { return core.NewMetricAware(0.5, 3) }},
 		{"tuner", func() sched.Scheduler {
 			return core.NewTuner(core.PaperBFScheme(30), core.PaperWScheme())
@@ -87,25 +88,37 @@ func TestDifferentialThreeWay(t *testing.T) {
 		{"fairp", 10 * units.Second, true, 30},
 	}
 
+	// The §V multi-metric ranking reports bounded horizons like the
+	// Eq. 3 form, so its fair and fairp modes check that deferred fair
+	// starts still equal the naive reference. Rows past the first seven
+	// are seeded after the whole grid, so adding one re-seeds nothing.
+	extra := []policy{
+		{"multimetric", func() sched.Scheduler {
+			return core.NewMultiMetric(3, core.WaitScorer(0.5), core.LargeJobScorer(0.25), core.ShortJobScorer(0.25))
+		}},
+	}
+
 	seed := int64(0)
-	for _, m := range machines {
-		for _, p := range policies {
-			for _, md := range modes {
-				seed++
-				s := seed
-				name := fmt.Sprintf("%s/%s/%s", m.name, p.name, md.name)
-				t.Run(name, func(t *testing.T) {
-					t.Parallel()
-					jobs := diffTrace(t, s, md.jobs)
-					cfg := Config{
-						Machine:        m.mk(),
-						Scheduler:      p.mk(),
-						SchedulePeriod: md.period,
-						Fairness:       md.fair,
-						Paranoid:       true,
-					}
-					runDifferential(t, cfg, jobs, md.fair)
-				})
+	for _, rows := range [][]policy{policies, extra} {
+		for _, m := range machines {
+			for _, p := range rows {
+				for _, md := range modes {
+					seed++
+					s := seed
+					name := fmt.Sprintf("%s/%s/%s", m.name, p.name, md.name)
+					t.Run(name, func(t *testing.T) {
+						t.Parallel()
+						jobs := diffTrace(t, s, md.jobs)
+						cfg := Config{
+							Machine:        m.mk(),
+							Scheduler:      p.mk(),
+							SchedulePeriod: md.period,
+							Fairness:       md.fair,
+							Paranoid:       true,
+						}
+						runDifferential(t, cfg, jobs, md.fair)
+					})
+				}
 			}
 		}
 	}
@@ -114,7 +127,7 @@ func TestDifferentialThreeWay(t *testing.T) {
 // TestDifferentialZoo extends the three-way grid across the policy zoo
 // the tournament ranks — the size-ordered, wait-weighted, and
 // fair-share orders — in event and periodic modes on all three machine
-// topologies (36 more seeded configs, 120 in total with
+// topologies (36 more seeded configs, 132 in total with
 // TestDifferentialThreeWay), all under the paranoid invariant oracle.
 func TestDifferentialZoo(t *testing.T) {
 	machines := []struct {

@@ -11,13 +11,13 @@
 #
 # Usage: scripts/tournament_smoke.sh
 #   JOBS      jobs per trace     (default 60)
-#   POLICIES  policy list        (default: 8-policy zoo slice)
+#   POLICIES  policy list        (default: 9-policy zoo slice, the §V scorer form included)
 set -eu
 
 cd "$(dirname "$0")/.."
 
 JOBS=${JOBS:-60}
-POLICIES=${POLICIES:-fcfs,sjf,easy,conservative,wfp,unicef,smallest,metric:0.5:4}
+POLICIES=${POLICIES:-fcfs,sjf,easy,conservative,wfp,unicef,smallest,metric:0.5:4,metric:wait=0.5+large=0.25+short=0.25:4}
 
 bin=$(mktemp -d)
 trap 'rm -rf "$bin"' EXIT
