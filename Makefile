@@ -33,10 +33,12 @@ vet:
 		|| { echo "gofmt -l reports:"; gofmt -l . | grep -v '^.bench_build/'; exit 1; }
 
 # A one-iteration pass over the scheduling benchmarks: catches bench
-# bit-rot without the minutes-long measured run. The ingest-decode and
-# daemon-cycle families live in internal/server, so both paths are swept.
+# bit-rot without the minutes-long measured run. The warm-ranking family
+# lives in internal/core and the ingest-decode and daemon-cycle families
+# in internal/server, so those paths are swept too.
 bench-smoke:
-	$(GO) test -timeout 5m -run '^$$' -bench 'ScheduleIteration|PlanEarliestStart|PlanCommit|SimEndToEnd|SimAtScale|SimWhatIf|FairPeriodic' -benchtime 1x .
+	$(GO) test -timeout 5m -run '^$$' -bench 'ScheduleIteration|PlanEarliestStart|PlanStartableNowOverlays|PlanCommit|SimEndToEnd|SimAtScale|SimWhatIf|FairPeriodic' -benchtime 1x .
+	$(GO) test -timeout 5m -run '^$$' -bench 'PrioritizeWarm' -benchtime 1x ./internal/core
 	$(GO) test -timeout 5m -run '^$$' -bench 'IngestDecode|DaemonCycle' -benchtime 1x ./internal/server
 
 # load-smoke boots amjsd on an ephemeral port and batch-submits 100k
@@ -96,7 +98,8 @@ benchmark:
 
 # profile captures CPU and heap profiles of the at-scale simulation
 # (cpu.prof, mem.prof), of the fairness oracle on the Table II month
-# (fair-cpu.prof, fair-mem.prof) and of the daemon's in-process
+# (fair-cpu.prof, fair-mem.prof), of the event-mode what-if tuner
+# (whatif-cpu.prof, whatif-mem.prof) and of the daemon's in-process
 # submit-to-drain cycle (daemon-cpu.prof, daemon-mem.prof) for pprof,
 # e.g. `go tool pprof -top fair-cpu.prof`.
 profile:
@@ -104,6 +107,8 @@ profile:
 		-cpuprofile cpu.prof -memprofile mem.prof .
 	$(GO) test -timeout 10m -run '^$$' -bench 'FairPeriodic' -benchtime 10x \
 		-cpuprofile fair-cpu.prof -memprofile fair-mem.prof .
+	$(GO) test -timeout 10m -run '^$$' -bench 'SimWhatIf/whatif/event' -benchtime 100x \
+		-cpuprofile whatif-cpu.prof -memprofile whatif-mem.prof .
 	$(GO) test -timeout 10m -run '^$$' -bench 'DaemonCycle' -benchtime 10x \
 		-cpuprofile daemon-cpu.prof -memprofile daemon-mem.prof ./internal/server
 

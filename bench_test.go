@@ -430,6 +430,46 @@ func BenchmarkPlanEarliestStart(b *testing.B) {
 	}
 }
 
+// BenchmarkPlanStartableNowOverlays probes StartableNow on an Intrepid
+// plan in mid-pass: the machine is fragmented across both bitset words
+// (holes on either side of midplane 63/64), and the plan already holds
+// a protected reservation plus the window search's speculative starts,
+// so every probe has to mask the overlays. One op is five probes, one
+// per block width from 1 to 16 midplanes.
+func BenchmarkPlanStartableNowOverlays(b *testing.B) {
+	m := machine.NewIntrepid()
+	holes := map[int]bool{3: true, 12: true, 13: true, 63: true, 64: true, 65: true}
+	for s := 24; s < 28; s++ {
+		holes[s] = true
+	}
+	for s := 40; s < 48; s++ {
+		holes[s] = true
+	}
+	for s := 72; s < 80; s++ {
+		holes[s] = true
+	}
+	for s := 0; s < m.Midplanes(); s++ {
+		if !holes[s] {
+			m.TryStartAt(s, 512, 0, units.Duration(1800+s*97), s)
+		}
+	}
+	plan := m.Plan(0)
+	ts, hint := plan.EarliestStart(16*512, 7200) // the protected reservation
+	plan.Commit(16*512, ts, 7200, hint)
+	for _, nodes := range []int{512, 1024, 2048} { // speculative window starts
+		ts, hint := plan.EarliestStart(nodes, 1800)
+		plan.Commit(nodes, ts, 1800, hint)
+	}
+	sizes := []int{512, 1024, 2048, 4096, 8192}
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		for _, nodes := range sizes {
+			plan.StartableNow(nodes, 3600)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(sizes)), "ns/probe")
+}
+
 func BenchmarkPlanCommit(b *testing.B) {
 	m := machine.NewIntrepid()
 	for i := 0; i < 40; i++ {

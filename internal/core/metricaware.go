@@ -108,7 +108,9 @@ type MetricAware struct {
 	// Quiescent: true when the pass started nothing, so repeating it on
 	// unchanged state at any later instant is provably the same no-op
 	// (every plan instant is absolute and the earliest of them is
-	// preceded by an end event; see the field's contract).
+	// preceded by an end event; see the field's contract). Conservative
+	// passes claim it only under a clock-free ranking or on the no-fit
+	// fast path: their reservations follow the priority order.
 	//
 	// Mutated: true when the pass granted, released, or moved the
 	// persistent protected reservation — the only scheduler state that
@@ -275,16 +277,30 @@ func (s *MetricAware) Schedule(env sched.Env) {
 		}
 	}
 
-	if s.prio == nil {
-		s.prio = &prioScratch{}
-	}
 	scorers := s.scorers
 	if scorers == nil {
 		bf := balanced(s.BF)
 		scorers = bf[:]
 	}
+	if s.Conservative && !clockFreeRanking(scorers) {
+		// Conservative reservations are rebuilt every pass in priority
+		// order, so a ranking the clock alone reorders can move a job
+		// ahead of the reservation that blocked it and start it later
+		// on unchanged state.
+		s.last.Quiescent = false
+	}
+	if s.prio == nil {
+		s.prio = &prioScratch{}
+	}
 	sorted := s.prio.prioritize(now, queue, scorers)
 	aggHorizon := s.prio.aggHorizon
+	if paranoid {
+		// The order is repaired from the last pass's; paranoid runs
+		// audit it against a fresh sort.
+		if fresh := MultiPrioritize(now, queue, scorers); !slices.Equal(sorted, fresh) {
+			panic(fmt.Sprintf("core: repaired queue order diverged from a fresh sort at %v", now))
+		}
+	}
 	plan := env.Machine().Plan(now)
 	w := s.W
 	if w < 1 {

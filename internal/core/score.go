@@ -121,6 +121,27 @@ func lookupFeature(name string) (feature, bool) {
 	return 0, false
 }
 
+// clockFreeRanking reports whether the scorers rank a fixed queue in
+// the same order at every instant. Only the wait feature moves with the
+// clock, and alone it never reorders: every wait score scales by the
+// same longest wait. So a set that weights no wait, or weights only
+// wait and only positively (longest wait first agrees with the submit
+// tie-break), is clock-free. Eq. (3) is clock-free at BF 0 and 1.
+func clockFreeRanking(scorers []Scorer) bool {
+	wait, rest := false, false
+	for _, sc := range scorers {
+		switch {
+		case sc.Weight == 0:
+		case sc.Name == "wait":
+			wait = true
+			rest = rest || sc.Weight < 0
+		default:
+			rest = true
+		}
+	}
+	return !wait || !rest
+}
+
 // balanced is Eq. (3) as a scorer pair; the caller slices it, so the
 // pair lives on the stack.
 func balanced(bf float64) [2]Scorer { return [2]Scorer{WaitScorer(bf), ShortJobScorer(1 - bf)} }
@@ -169,8 +190,16 @@ func MultiPrioritize(now units.Time, queue []*job.Job, scorers []Scorer) []*job.
 // warm-up a scheduling pass allocates nothing for scoring: the paper's
 // evaluation needs thousands of simulations, each running this on every
 // pass of every nested fairness simulation.
+//
+// It also remembers the last call's order, so the next call repairs it
+// instead of sorting from scratch: jobs is the last sorted output and
+// rank[i] the rank of the last queue's i-th job, so jobs[rank[i]] is
+// that job. Between passes survivors keep their arrival order and
+// arrivals are appended, so one walk re-finds the survivors and an
+// insertion sort finishes the nearly sorted result (see seed).
 type prioScratch struct {
 	jobs    []*job.Job
+	rank    []int32
 	entries []prioEntry
 
 	// aggHorizon is the latest submit time among the earliest-submitted
@@ -211,20 +240,31 @@ func (s *span[T]) add(v T, at units.Time) {
 }
 
 // prioEntry pairs a job with its priority so the sort moves one small
-// struct instead of two parallel arrays through an interface.
+// struct instead of two parallel arrays through an interface; pos is the
+// job's position in the queue, from which the sorted order's rank
+// record is written.
 type prioEntry struct {
 	score float64
 	j     *job.Job
+	pos   int32
 }
+
+func comparePrio(a, b prioEntry) int { return sched.ComparePriority(a.score, a.j, b.score, b.j) }
+
+// repairMoves bounds the insertion sort that finishes a seeded order:
+// once it has shifted more than repairMoves × n entries the hint was
+// poor, and a full sort takes over.
+const repairMoves = 4
 
 func nodeTime(j *job.Job) float64 { return float64(j.Nodes) * float64(j.Walltime) }
 
 // prioritize scores queue into the scratch buffers and sorts them by
 // the scorers' weighted feature sum, highest first, under
-// sched.ComparePriority. One pass fills the entries and collects the
-// bands of the features in use; then each scorer in turn adds weight ×
-// feature to every entry. The returned slice is scratch, valid until
-// the next call.
+// sched.ComparePriority. seed lays the entries out in the last call's
+// order and one pass collects the bands of the features in use; then
+// each scorer in turn adds weight × feature to every entry, and the
+// nearly sorted entries are finished by insertion. The returned slice
+// is scratch, valid until the next call.
 func (p *prioScratch) prioritize(now units.Time, queue []*job.Job, scorers []Scorer) []*job.Job {
 	if len(queue) == 0 {
 		return nil
@@ -246,12 +286,8 @@ func (p *prioScratch) prioritize(now units.Time, queue []*job.Job, scorers []Sco
 		nodes: span[int]{j0.Nodes, j0.Nodes, j0.Submit, j0.Submit},
 		cost:  span[float64]{nodeTime(j0), nodeTime(j0), j0.Submit, j0.Submit},
 	}
-	if cap(p.entries) < len(queue) {
-		p.entries = make([]prioEntry, 0, len(queue))
-	}
-	p.entries = p.entries[:0]
+	seeded := p.seed(queue)
 	for _, j := range queue {
-		p.entries = append(p.entries, prioEntry{0, j})
 		if w := j.WaitAt(now); w > b.waitMax {
 			b.waitMax = w
 		}
@@ -283,14 +319,83 @@ func (p *prioScratch) prioritize(now units.Time, queue []*job.Job, scorers []Sco
 	for i, f := range feats {
 		b.add(p.entries, f, scorers[i].Weight, now)
 	}
-	slices.SortFunc(p.entries, func(a, b prioEntry) int {
-		return sched.ComparePriority(a.score, a.j, b.score, b.j)
-	})
+	if seeded == 0 || !insertionSort(p.entries, repairMoves*len(p.entries)) {
+		slices.SortFunc(p.entries, comparePrio)
+	}
 	p.jobs = p.jobs[:0]
-	for _, e := range p.entries {
+	for r, e := range p.entries {
 		p.jobs = append(p.jobs, e.j)
+		p.rank[e.pos] = int32(r)
 	}
 	return p.jobs
+}
+
+// seed fills the entries with queue's jobs in the last call's order:
+// survivors at their old ranks, then the jobs the walk could not match
+// (arrivals) in queue order. It returns the number of survivors. The
+// walk pairs queue with the last queue, jobs[rank[i]] for increasing i:
+// a last-queue job the current queue does not reach next has left.
+// Scores are left zero.
+//
+// Whatever the hint holds — a scratch that ranked another world's
+// queue, or a recycled job pointer — the entries are exactly queue's
+// jobs, each once, so the sort that follows returns the one order
+// ComparePriority (a strict total order: IDs are unique) allows. A
+// poor hint costs time, never correctness.
+func (p *prioScratch) seed(queue []*job.Job) int {
+	n, m := len(queue), len(p.rank)
+	// Grown as append grows, so a queue that deepens one job a pass
+	// reallocates only now and then.
+	es := slices.Grow(p.entries[:0], max(n, m))[:max(n, m)]
+	// es[r] receives the survivor of old rank r; a departed job's slot
+	// is cleared.
+	k := 0
+	for i := 0; i < m; i++ {
+		r := p.rank[i]
+		if old := p.jobs[r]; k < n && queue[k] == old {
+			es[r] = prioEntry{j: old, pos: int32(k)}
+			k++
+		} else {
+			es[r].j = nil
+		}
+	}
+	w := 0
+	for _, e := range es[:m] {
+		if e.j != nil {
+			es[w] = e
+			w++
+		}
+	}
+	survivors := w
+	for ; k < n; k++ {
+		es[w] = prioEntry{j: queue[k], pos: int32(k)}
+		w++
+	}
+	p.entries = es[:n]
+	p.rank = slices.Grow(p.rank[:0], n)[:n]
+	return survivors
+}
+
+// insertionSort sorts es under comparePrio by insertion, giving up
+// (false, es left a permutation of its input) once more than budget
+// entries have been shifted.
+func insertionSort(es []prioEntry, budget int) bool {
+	for i := 1; i < len(es); i++ {
+		e := es[i]
+		k := i
+		for k > 0 && comparePrio(e, es[k-1]) < 0 {
+			k--
+		}
+		if k == i {
+			continue
+		}
+		if budget -= i - k; budget < 0 {
+			return false
+		}
+		copy(es[k+1:i+1], es[k:i])
+		es[k] = e
+	}
+	return true
 }
 
 // add sums w × feature f into every entry's score against these bands.

@@ -206,3 +206,26 @@ func TestAggHorizonPrefixProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestClockFreeRanking pins which scorer sets let a conservative pass
+// claim quiescence: only those the clock cannot reorder.
+func TestClockFreeRanking(t *testing.T) {
+	bf := func(v float64) []Scorer { sc := balanced(v); return sc[:] }
+	for _, c := range []struct {
+		name    string
+		scorers []Scorer
+		want    bool
+	}{
+		{"BF=1", bf(1), true},
+		{"BF=0", bf(0), true},
+		{"BF=0.5", bf(0.5), false},
+		{"wait only", []Scorer{WaitScorer(0.5), WaitScorer(2), LargeJobScorer(0)}, true},
+		{"negative wait", []Scorer{WaitScorer(-1)}, false},
+		{"no wait", []Scorer{LargeJobScorer(0.5), ShortJobScorer(0.3), LowCostScorer(-0.2)}, true},
+		{"wait and size", []Scorer{WaitScorer(0.5), SmallJobScorer(0.5)}, false},
+	} {
+		if got := clockFreeRanking(c.scorers); got != c.want {
+			t.Errorf("%s: clockFreeRanking = %v, want %v", c.name, got, c.want)
+		}
+	}
+}

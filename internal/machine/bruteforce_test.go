@@ -83,78 +83,165 @@ func TestFlatPlanMatchesBruteForce(t *testing.T) {
 
 // TestPartitionPlanMatchesBruteForce does the same for the partitioned
 // machine: the oracle re-checks feasibility per aligned block per
-// second.
+// second, and the plan must also name the oracle's block (the lowest
+// one feasible at the earliest start) and answer StartableNow alike.
+// The 4x8 machine fits one bitset word; the Intrepid geometry spans
+// two, so there running jobs and commitments land on random aligned
+// blocks (often at the 63/64 word boundary, which full-system
+// commitments straddle), and some running jobs are overdue: busy on the
+// machine but past their walltime estimate, so free in the profile.
 func TestPartitionPlanMatchesBruteForce(t *testing.T) {
-	f := func(running []uint8, commits []uint8, reqNodes, reqWall uint8) bool {
-		m := NewPartition(4, 8) // 32 nodes, blocks of 1/2/4 midplanes
-		now := units.Time(5)
-		if len(running) > 5 {
-			running = running[:5]
+	for _, c := range []struct {
+		name             string
+		m                func() *Partition
+		running, commits int
+		size             func(m *Partition, v uint8) int
+		spread           bool
+		checks           int
+	}{
+		{"4x8", func() *Partition { return NewPartition(4, 8) }, 5, 3,
+			func(m *Partition, v uint8) int { return 1 + int(v)%m.TotalNodes() }, false, 40},
+		{"80x512", NewIntrepid, 8, 5, intrepidSize, true, 300},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f := func(running []uint16, commits []uint16, reqNodes, reqWall uint8) bool {
+				return checkPartitionPlan(t, c.m(), c.running, c.commits, c.size, c.spread, running, commits, reqNodes, reqWall)
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: c.checks}); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// intrepidSize maps a random byte to a request of every block width on
+// the 80-midplane machine, the full-system partition included.
+func intrepidSize(m *Partition, v uint8) int {
+	widths := [...]int{1, 2, 4, 8, 16, 32, 64, 80}
+	w := widths[int(v)%len(widths)]
+	return w*m.NodesPerMidplane() - int(v)/8%(m.NodesPerMidplane()/2)
+}
+
+// checkPartitionPlan builds one random plan state on m and compares the
+// plan's probes of one request with the brute-force oracle.
+func checkPartitionPlan(t *testing.T, m *Partition, maxRunning, maxCommits int, size func(*Partition, uint8) int,
+	spread bool, running, commits []uint16, reqNodes, reqWall uint8) bool {
+	now := units.Time(50)
+	if len(running) > maxRunning {
+		running = running[:maxRunning]
+	}
+	if len(commits) > maxCommits {
+		commits = commits[:maxCommits]
+	}
+	type span struct {
+		start int // first midplane
+		width int
+		from  units.Time
+		to    units.Time
+	}
+	var spans []span
+	// place picks an aligned block for a width from a random byte: the
+	// blocks either side of the 63/64 word boundary, or any block.
+	place := func(width int, v uint8) int {
+		blocks := m.Midplanes() / width
+		if v%2 == 0 && 64+width <= m.Midplanes() {
+			return 64 - width + int(v/2)%2*width
 		}
-		if len(commits) > 3 {
-			commits = commits[:3]
-		}
-		type span struct {
-			start int // first midplane
-			width int
-			from  units.Time
-			to    units.Time
-		}
-		var spans []span
-		for i, r := range running {
-			nodes := 1 + int(r)%m.TotalNodes()
-			wall := units.Duration(1 + r%40)
+		return int(v/2) % blocks * width
+	}
+	for i, r := range running {
+		nodes := size(m, uint8(r))
+		wall := units.Duration(1 + int(r>>8)%40)
+		if !spread {
 			if a, ok := m.TryStart(i, nodes, now, wall); ok {
 				al := m.allocs[a]
 				spans = append(spans, span{al.start, al.width, now, now.Add(wall)})
 			}
+			continue
 		}
-		plan := m.Plan(now)
-		for _, c := range commits {
-			nodes := 1 + int(c)%m.TotalNodes()
-			wall := units.Duration(1 + c%30)
-			ts, hint := plan.EarliestStart(nodes, wall)
-			plan.Commit(nodes, ts, wall, hint)
-			width := m.BlockMidplanes(nodes)
-			spans = append(spans, span{hint, width, ts, ts.Add(wall)})
+		// One in four starts early enough to be overdue at now.
+		start := now
+		if r>>8%4 == 0 {
+			start = now - units.Time(wall) - units.Time(r>>10%3)
 		}
-
-		nodes := 1 + int(reqNodes)%m.TotalNodes()
-		wall := units.Duration(1 + reqWall%30)
-		got, _ := plan.EarliestStart(nodes, wall)
-
 		width := m.BlockMidplanes(nodes)
-		mpBusy := func(mp int, at units.Time) bool {
-			for _, s := range spans {
-				if mp >= s.start && mp < s.start+s.width && s.from <= at && at < s.to {
-					return true
+		if a, ok := m.TryStartAt(i, nodes, start, wall, place(width, uint8(r>>8))); ok {
+			al := m.allocs[a]
+			spans = append(spans, span{al.start, al.width, start, start.Add(wall)})
+		}
+	}
+	busy := func(mp int, from, to units.Time) bool {
+		for _, s := range spans {
+			if mp >= s.start && mp < s.start+s.width && s.from < to && from < s.to {
+				return true
+			}
+		}
+		return false
+	}
+	// blockFree is the oracle: every midplane of the block free over
+	// [at, at+wall), checked second by second.
+	blockFree := func(bs, width int, at units.Time, wall units.Duration) bool {
+		for mp := bs; mp < bs+width; mp++ {
+			for dt := units.Time(0); dt < units.Time(wall); dt++ {
+				if busy(mp, at+dt, at+dt+1) {
+					return false
 				}
 			}
-			return false
 		}
-		canPlace := func(at units.Time) bool {
+		return true
+	}
+	// earliest returns the earliest start >= now of the request and the
+	// lowest block feasible then. At now a block the machine holds idle
+	// comes first: an overdue block is free in the profile, but a start
+	// there fails until its job ends.
+	earliest := func(nodes int, wall units.Duration) (units.Time, int) {
+		width := m.BlockMidplanes(nodes)
+		for bs := 0; bs+width <= m.Midplanes(); bs += width {
+			if m.blockFreeNow(bs, width) && blockFree(bs, width, now, wall) {
+				return now, bs
+			}
+		}
+		for at := now; at <= now+400; at++ {
 			for bs := 0; bs+width <= m.Midplanes(); bs += width {
-				free := true
-				for mp := bs; mp < bs+width && free; mp++ {
-					for dt := units.Time(0); dt < units.Time(wall); dt++ {
-						if mpBusy(mp, at+dt) {
-							free = false
-							break
-						}
-					}
-				}
-				if free {
-					return true
+				if blockFree(bs, width, at, wall) {
+					return at, bs
 				}
 			}
-			return false
 		}
-		want, ok := bruteEarliest(canPlace, now, now+200)
-		return ok && got == want
+		t.Fatalf("no feasible start for %d nodes within the horizon", nodes)
+		return 0, 0
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
+	plan := m.Plan(now)
+	for _, c := range commits {
+		nodes := size(m, uint8(c))
+		wall := units.Duration(1 + int(c>>8)%30)
+		ts, hint := plan.EarliestStart(nodes, wall)
+		if spread && c>>8%2 == 1 {
+			// A commitment on a chosen block at that block's earliest
+			// feasible start, as a window search's speculation makes.
+			width := m.BlockMidplanes(nodes)
+			hint = place(width, uint8(c>>8))
+			for ts = now; !blockFree(hint, width, ts, wall); ts++ {
+			}
+		}
+		plan.Commit(nodes, ts, wall, hint)
+		spans = append(spans, span{hint, m.BlockMidplanes(nodes), ts, ts.Add(wall)})
 	}
+
+	nodes := size(m, reqNodes)
+	wall := units.Duration(1 + int(reqWall)%30)
+	want, wantHint := earliest(nodes, wall)
+	got, hint := plan.EarliestStart(nodes, wall)
+	nowHint, nowOK := plan.StartableNow(nodes, wall)
+	if got != want || hint != wantHint {
+		t.Logf("EarliestStart(%d, %v) = (%v, %d), oracle (%v, %d)", nodes, wall, got, hint, want, wantHint)
+		return false
+	}
+	if nowOK != (want == now) || (nowOK && nowHint != wantHint) {
+		t.Logf("StartableNow(%d, %v) = (%d, %v), oracle (%v, %d)", nodes, wall, nowHint, nowOK, want, wantHint)
+		return false
+	}
+	return true
 }
 
 // TestTorusPlanMatchesBruteForce extends the oracle comparison to the

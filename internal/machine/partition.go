@@ -217,10 +217,7 @@ func (p *Partition) firstFreeBlock(width, from int) int {
 		if wi == len(p.bits)-1 {
 			free &= p.lastMask
 		}
-		for s := 1; s < width; s <<= 1 {
-			free &= free >> uint(s)
-		}
-		free &= alignCandMasks[bits.Len(uint(width))-1]
+		free = foldFree(free, width) & alignCandMasks[bits.Len(uint(width))-1]
 		if wi == from>>6 {
 			free &= ^uint64(0) << uint(from&63)
 		}
@@ -229,6 +226,15 @@ func (p *Partition) firstFreeBlock(width, from int) int {
 		}
 	}
 	return -1
+}
+
+// foldFree folds a word's free mask so that bit s survives iff bits
+// [s, s+width) are all set; width is a power of two up to 64.
+func foldFree(free uint64, width int) uint64 {
+	for s := 1; s < width; s <<= 1 {
+		free &= free >> uint(s)
+	}
+	return free
 }
 
 // CanStartNow implements Machine.
@@ -581,10 +587,41 @@ func (pl *partPlan) earliestForBlockFrom(from units.Time, lo, hi int, d units.Du
 // base == now, so with no overlays an idle block needs no further
 // check.) A miss does not prove "not startable now" by itself: overdue
 // midplanes are machine-busy yet profile-free.
+//
+// For widths inside one bitset word each word is masked once: the
+// overlays live over [now, end) are ORed into its occupancy, and then
+// the fold and the alignment mask leave exactly the aligned starts of
+// blocks free of both, lowest first. Wider blocks (at most a couple of
+// candidates) are probed one by one.
 func (pl *partPlan) immediateFit(width int, end units.Time) int {
-	for s := pl.m.firstFreeBlock(width, 0); s >= 0; s = pl.m.firstFreeBlock(width, s+width) {
-		if len(pl.ovl) == 0 || pl.conflictEnd(s, s+width, pl.now, end) < 0 {
-			return s
+	m := pl.m
+	if width > 64 || width > m.maxPow2 {
+		for s := m.firstFreeBlock(width, 0); s >= 0; s = m.firstFreeBlock(width, s+width) {
+			if len(pl.ovl) == 0 || pl.conflictEnd(s, s+width, pl.now, end) < 0 {
+				return s
+			}
+		}
+		return -1
+	}
+	align := alignCandMasks[bits.Len(uint(width))-1]
+	for wi, busy := range m.bits {
+		valid := ^uint64(0)
+		if wi == len(m.bits)-1 {
+			valid = m.lastMask
+		}
+		if foldFree(^busy&valid, width)&align == 0 {
+			continue // no idle block here for the overlays to spare
+		}
+		lo := wi << 6
+		for i := range pl.ovl {
+			ov := &pl.ovl[i]
+			if ov.from < end && pl.now < ov.to && ov.lo < lo+64 && lo < ov.hi {
+				a, b := max(ov.lo, lo)-lo, min(ov.hi, lo+64)-lo
+				busy |= (uint64(1)<<uint(b-a) - 1) << uint(a)
+			}
+		}
+		if free := foldFree(^busy&valid, width) & align; free != 0 {
+			return lo + bits.TrailingZeros64(free)
 		}
 	}
 	return -1

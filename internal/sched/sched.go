@@ -144,10 +144,14 @@ type PassReport struct {
 	// earliest fit) is absolute, and the first of them to arrive is
 	// preceded by the end event that frees the nodes — which dirties the
 	// engine and forces a real pass. Time-varying priority scores may
-	// reorder the queue between ticks, but with nothing individually
-	// startable no ordering can conjure a start, and a held reservation
-	// pins reservation state. Policies that cannot make this promise
-	// leave it false.
+	// reorder the queue between ticks. That is harmless for a policy
+	// whose only commitment is one reservation held across passes: the
+	// held job pins it, so every other job meets the same plan in any
+	// order. A policy that rebuilds several reservations in priority
+	// order each pass (conservative backfilling) is different: its own
+	// reservations can block a job that another order would start, so
+	// it may claim quiescence only when the clock cannot reorder its
+	// queue. Policies that cannot make this promise leave it false.
 	Quiescent bool
 
 	// Mutated reports whether the pass changed any persistent cross-pass
