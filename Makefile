@@ -33,12 +33,13 @@ vet:
 		|| { echo "gofmt -l reports:"; gofmt -l . | grep -v '^.bench_build/'; exit 1; }
 
 # A one-iteration pass over the scheduling benchmarks: catches bench
-# bit-rot without the minutes-long measured run. The warm-ranking family
-# lives in internal/core and the ingest-decode and daemon-cycle families
-# in internal/server, so those paths are swept too.
+# bit-rot without the minutes-long measured run. The warm-ranking and
+# window-search-counter families live in internal/core and the
+# ingest-decode and daemon-cycle families in internal/server, so those
+# paths are swept too.
 bench-smoke:
 	$(GO) test -timeout 5m -run '^$$' -bench 'ScheduleIteration|PlanEarliestStart|PlanStartableNowOverlays|PlanCommit|SimEndToEnd|SimAtScale|SimWhatIf|FairPeriodic' -benchtime 1x .
-	$(GO) test -timeout 5m -run '^$$' -bench 'PrioritizeWarm' -benchtime 1x ./internal/core
+	$(GO) test -timeout 5m -run '^$$' -bench 'PrioritizeWarm|WindowSearchYear' -benchtime 1x ./internal/core
 	$(GO) test -timeout 5m -run '^$$' -bench 'IngestDecode|DaemonCycle' -benchtime 1x ./internal/server
 
 # load-smoke boots amjsd on an ephemeral port and batch-submits 100k

@@ -12,16 +12,6 @@ import (
 	"amjs/internal/units"
 )
 
-// maxPermWindow bounds the window permutation search. The paper
-// evaluates W up to 5; the bound is set two higher so the adaptive
-// tuner and sweep tools have headroom to explore past the paper's grid.
-// 7 is where the worst case stops being cheap: branch-and-bound prunes
-// most of the 7! = 5040 orderings in practice, but the tree grows
-// factorially and W=8 would admit pathological windows two orders of
-// magnitude costlier. Beyond the bound the window is processed in
-// priority order without search.
-const maxPermWindow = 7
-
 // MetricAware is the paper's metric-aware scheduler (§III-B):
 //
 //	Steps 1–4  Queued jobs are scored by ScoreWait and ScoreRuntime and
@@ -496,277 +486,4 @@ func (s *MetricAware) shouldVerifyWindow(n int) bool {
 	}
 	s.verifyCount++
 	return s.verifyCount%windowVerifySampling == 0
-}
-
-// windowStartableNow counts the window's jobs that can start at this
-// instant under the plan, capped at 2 — callers only distinguish
-// none / exactly one / several. A start can only consume idle nodes,
-// so a request exceeding the idle count is rejected before the (much
-// more expensive) plan probe; when the machine is saturated every job
-// short-circuits and the window costs a handful of integer compares.
-func windowStartableNow(env sched.Env, plan machine.Plan, window []*job.Job) int {
-	idle := env.Machine().IdleNodes()
-	n := 0
-	for _, j := range window {
-		if j.Nodes > idle {
-			continue
-		}
-		if _, ok := plan.StartableNow(j.Nodes, j.Walltime); ok {
-			if n++; n == 2 {
-				break
-			}
-		}
-	}
-	return n
-}
-
-// bestPermutation returns the winning window order (indices into
-// window). The criterion is least makespan, then most immediate starts,
-// then the earliest permutation in lexicographic order — which is the
-// priority order, preserving fairness on ties.
-//
-// The search is branch-and-bound over permutation prefixes: each prefix
-// is committed once into the shared plan (Save/Restore brackets the
-// speculation, so nothing is cloned), a prefix whose bounds prove no
-// completion can beat the incumbent is cut, and EarliestStart probes
-// for identical (nodes, walltime) shapes are memoized across the
-// siblings of each search-tree node. The pruning bounds are exact —
-// makespan and immediate-start nodes grow monotonically along a prefix
-// and the unplaced jobs' node sum caps further immediate starts — and
-// the DFS visits permutations in lexicographic order updating only on
-// strict improvement, so the winner is identical to the seed's
-// exhaustive next-permutation loop (cross-checked by the oracle test in
-// metricaware_oracle_test.go). The returned slice is scratch, valid
-// until the next call on this scheduler.
-func (s *MetricAware) bestPermutation(plan machine.Plan, window []*job.Job, now units.Time) []int {
-	n := len(window)
-	if s.search == nil {
-		s.search = &permSearch{}
-	}
-	ps := s.search
-	identity := ps.identity(n)
-	if n <= 1 || n > maxPermWindow {
-		return identity
-	}
-
-	// Shortcut: if every window job starts immediately in priority
-	// order, no permutation can start more nodes or finish earlier.
-	mark := plan.Save()
-	allNow := true
-	for _, j := range window {
-		ts, hint := plan.EarliestStart(j.Nodes, j.Walltime)
-		if ts != now {
-			allNow = false
-			break
-		}
-		plan.Commit(j.Nodes, ts, j.Walltime, hint)
-	}
-	plan.Restore(mark)
-	if allNow {
-		return identity
-	}
-
-	ps.begin(plan, window, now, s.UtilizationFirst)
-	ps.dfs(0, now, 0)
-	ps.plan, ps.window = nil, nil // do not retain the pass's plan
-	return ps.best
-}
-
-// permSearch is the branch-and-bound state of one window search. It
-// lives on the scheduler so its per-depth buffers are reused across
-// passes; after warm-up a search allocates nothing.
-type permSearch struct {
-	plan      machine.Plan
-	window    []*job.Job
-	now       units.Time
-	n         int
-	utilFirst bool
-
-	perm []int  // current prefix in perm[:depth]
-	used []bool // window indices placed in the prefix
-
-	best      []int // incumbent winner (also the identity scratch)
-	bestSpan  units.Time
-	bestNodes int
-	haveBest  bool
-
-	memo [][]probeEntry // per-depth sibling probe memo
-}
-
-// probeEntry caches one EarliestStart answer at a search-tree node:
-// within a node the committed prefix is fixed, so two candidate jobs
-// with the same (nodes, walltime) shape must probe identically.
-type probeEntry struct {
-	nodes int
-	wall  units.Duration
-	ts    units.Time
-	hint  int
-}
-
-// identity resizes the incumbent buffer to n and fills it with the
-// identity order.
-func (ps *permSearch) identity(n int) []int {
-	if cap(ps.best) < n {
-		ps.best = make([]int, n)
-	}
-	ps.best = ps.best[:n]
-	for i := range ps.best {
-		ps.best[i] = i
-	}
-	return ps.best
-}
-
-// begin readies the scratch buffers for a window of len(window) jobs.
-// The incumbent starts empty (haveBest false): the DFS reaches the
-// identity permutation first, which seeds it exactly as the exhaustive
-// loop did.
-func (ps *permSearch) begin(plan machine.Plan, window []*job.Job, now units.Time, utilFirst bool) {
-	ps.plan, ps.window, ps.now, ps.utilFirst = plan, window, now, utilFirst
-	ps.n = len(window)
-	if cap(ps.perm) < ps.n {
-		ps.perm = make([]int, ps.n)
-		ps.used = make([]bool, ps.n)
-	}
-	ps.perm = ps.perm[:ps.n]
-	ps.used = ps.used[:ps.n]
-	for i := range ps.used {
-		ps.used[i] = false
-	}
-	ps.haveBest = false
-	for len(ps.memo) < ps.n {
-		ps.memo = append(ps.memo, nil)
-	}
-}
-
-// better reports whether a complete schedule beats the incumbent under
-// the configured objective.
-func (ps *permSearch) better(span units.Time, nodes int) bool {
-	if ps.utilFirst {
-		return nodes > ps.bestNodes || (nodes == ps.bestNodes && span < ps.bestSpan)
-	}
-	return span < ps.bestSpan || (span == ps.bestSpan && nodes > ps.bestNodes)
-}
-
-// pruned reports whether no completion of a prefix can strictly beat
-// the incumbent, given a lower bound on the completed schedule's
-// makespan (spanLB) and an upper bound on nodes it can still put to
-// work immediately beyond those already started (moreNow). Both bounds
-// are exact — never optimistic about the incumbent — so cutting here
-// never changes the winner.
-func (ps *permSearch) pruned(spanLB units.Time, nodesNow, moreNow int) bool {
-	maxNodes := nodesNow + moreNow
-	if ps.utilFirst {
-		return maxNodes < ps.bestNodes ||
-			(maxNodes == ps.bestNodes && spanLB >= ps.bestSpan)
-	}
-	return spanLB > ps.bestSpan ||
-		(spanLB == ps.bestSpan && maxNodes <= ps.bestNodes)
-}
-
-// probe is EarliestStart memoized across the siblings of one
-// search-tree node. The memo is only valid while the committed prefix
-// is unchanged; dfs resets it on entry, and every Commit inside the
-// loop is rewound before the next sibling probes.
-func (ps *permSearch) probe(depth int, j *job.Job) (units.Time, int) {
-	for _, e := range ps.memo[depth] {
-		if e.nodes == j.Nodes && e.wall == j.Walltime {
-			return e.ts, e.hint
-		}
-	}
-	ts, hint := ps.plan.EarliestStart(j.Nodes, j.Walltime)
-	ps.memo[depth] = append(ps.memo[depth], probeEntry{nodes: j.Nodes, wall: j.Walltime, ts: ts, hint: hint})
-	return ts, hint
-}
-
-// dfs extends the committed prefix perm[:depth] with every unused
-// window job in increasing index order — lexicographic enumeration, so
-// ties keep the earliest (priority-order) permutation.
-//
-// Two node-level bounds sharpen the cut beyond the prefix's own
-// makespan, both consequences of probe monotonicity (commitments only
-// accumulate along a branch, so EarliestStart answers only move later):
-//
-//   - maxEnd: every unplaced job's completion in any descendant is at
-//     least its (probe start + walltime) here, so the largest such end
-//     lower-bounds the completed schedule's makespan.
-//   - nowSum: a job whose probe here is already past now can never
-//     start immediately deeper in this subtree, so only jobs startable
-//     now at this node bound the remaining immediate-start nodes —
-//     much tighter than the full unplaced node sum.
-func (ps *permSearch) dfs(depth int, span units.Time, nodesNow int) {
-	// Probe every unplaced candidate once at this node (the sibling
-	// loop below hits the memo) and fold the node-level bounds.
-	ps.memo[depth] = ps.memo[depth][:0]
-	maxEnd := span
-	nowSum := 0
-	for c := 0; c < ps.n; c++ {
-		if ps.used[c] {
-			continue
-		}
-		j := ps.window[c]
-		ts, _ := ps.probe(depth, j)
-		if ts == units.Forever {
-			continue
-		}
-		if end := ts.Add(j.Walltime); end > maxEnd {
-			maxEnd = end
-		}
-		if ts == ps.now {
-			nowSum += j.Nodes
-		}
-	}
-	if ps.haveBest && ps.pruned(maxEnd, nodesNow, nowSum) {
-		return
-	}
-	last := depth == ps.n-1
-	for c := 0; c < ps.n; c++ {
-		if ps.used[c] {
-			continue
-		}
-		j := ps.window[c]
-		ts, hint := ps.probe(depth, j)
-		childSpan, childNodes, childNowSum := span, nodesNow, nowSum
-		if ts != units.Forever {
-			if end := ts.Add(j.Walltime); end > childSpan {
-				childSpan = end
-			}
-			if ts == ps.now {
-				childNodes += j.Nodes
-				childNowSum -= j.Nodes
-			}
-		}
-		ps.perm[depth] = c
-		if last {
-			// Leaf: the final placement's contribution is fully known
-			// from the probe; no commit needed to evaluate it.
-			if !ps.haveBest || ps.better(childSpan, childNodes) {
-				ps.haveBest = true
-				ps.bestSpan, ps.bestNodes = childSpan, childNodes
-				copy(ps.best, ps.perm)
-			}
-			continue
-		}
-		// maxEnd stays a valid makespan lower bound for the child: the
-		// placed job's own end is already inside childSpan, and every
-		// other unplaced job only probes later below.
-		childLB := childSpan
-		if maxEnd > childLB {
-			childLB = maxEnd
-		}
-		if ps.haveBest && ps.pruned(childLB, childNodes, childNowSum) {
-			continue
-		}
-		ps.used[c] = true
-		if ts == units.Forever {
-			// Never fits: placed nowhere, contributing nothing — the
-			// same skip as the exhaustive evaluator.
-			ps.dfs(depth+1, childSpan, childNodes)
-		} else {
-			mark := ps.plan.Save()
-			ps.plan.Commit(j.Nodes, ts, j.Walltime, hint)
-			ps.dfs(depth+1, childSpan, childNodes)
-			ps.plan.Restore(mark)
-		}
-		ps.used[c] = false
-	}
 }

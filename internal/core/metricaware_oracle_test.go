@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -124,6 +125,57 @@ func oracleWindow(r *rand.Rand, n int) []*job.Job {
 	return window
 }
 
+// oracleIntrepid builds a randomized state of the 80x512 Intrepid
+// model: running jobs on random aligned blocks, one in four overdue at
+// any now >= 0 (machine-busy but free in the profile).
+func oracleIntrepid(r *rand.Rand) machine.Machine {
+	m := machine.NewIntrepid()
+	for i := 0; i < r.Intn(12); i++ {
+		width := 1 << r.Intn(6)
+		wall := units.Duration(50 + r.Intn(4000))
+		start := units.Time(0)
+		if r.Intn(4) == 0 {
+			start = -units.Time(wall) - 1
+		}
+		m.TryStartAt(1000+i, width*512, start, wall, r.Intn(80/width)*width)
+	}
+	return m
+}
+
+// oracleIntrepidWindow builds a randomized Intrepid window of n jobs
+// over every partition width, the full-system partition included.
+func oracleIntrepidWindow(r *rand.Rand, n int) []*job.Job {
+	widths := [...]int{1, 2, 4, 8, 16, 32, 64, 80}
+	window := make([]*job.Job, n)
+	for i := range window {
+		window[i] = &job.Job{
+			ID:       i + 1,
+			User:     "u",
+			Nodes:    widths[r.Intn(len(widths))]*512 - r.Intn(256),
+			Walltime: units.Duration(10 + r.Intn(3000)),
+			Runtime:  units.Duration(5 + r.Intn(2000)),
+			State:    job.Queued,
+		}
+	}
+	return window
+}
+
+// oracleRow is one family of random machine states and windows the
+// window-search tests draw from, with its seed and rounds per mode.
+type oracleRow struct {
+	name   string
+	seed   int64
+	rounds int
+	m      func(*rand.Rand) machine.Machine
+	window func(*rand.Rand, int) []*job.Job
+}
+
+// oracleRows are the mixed small models, and Intrepid at full size.
+var oracleRows = []oracleRow{
+	{"mixed", 7, 1200, oracleMachine, oracleWindow},
+	{"intrepid-80x512", 80, 400, oracleIntrepid, oracleIntrepidWindow},
+}
+
 // The branch-and-bound search must select exactly the permutation the
 // seed's exhaustive loop selects — including all tie-breaks — on
 // randomized machine states and windows of 2..maxPermWindow jobs, under
@@ -131,29 +183,43 @@ func oracleWindow(r *rand.Rand, n int) []*job.Job {
 // scheduler serves every width of a mode, so the search scratch is
 // resized up and down between rounds as the adaptive tuner would.
 func TestBestPermutationMatchesExhaustiveOracle(t *testing.T) {
-	const rounds = 1200
-	// The exhaustive loop costs 720–5,040 orderings per window past the
-	// paper's W <= 5, so only every wideEvery-th round goes wide.
-	const wideEvery = 40
-	r := rand.New(rand.NewSource(7))
+	for _, row := range oracleRows {
+		t.Run(row.name, func(t *testing.T) {
+			if mismatch := oracleMismatch(t, row, nil); mismatch != "" {
+				t.Fatal(mismatch)
+			}
+		})
+	}
+}
+
+// oracleMismatch runs the oracle comparison of one row and describes
+// the first window on which the search disagrees with the exhaustive
+// loop ("" when none does). wrap, when non-nil, wraps the plan the
+// search sees; the oracle always sees the plan itself.
+func oracleMismatch(t *testing.T, row oracleRow, wrap func(machine.Plan) machine.Plan) string {
+	r := rand.New(rand.NewSource(row.seed))
 	for _, utilFirst := range []bool{false, true} {
 		s := NewMetricAware(0.5, maxPermWindow)
 		s.UtilizationFirst = utilFirst
-		for i := 0; i < rounds; i++ {
-			n := 2 + i%4
-			if i%wideEvery == 0 {
-				n = maxPermWindow - (i/wideEvery)%2
-			}
-			m := oracleMachine(r)
-			window := oracleWindow(r, n)
+		for i := 0; i < row.rounds; i++ {
+			n := oracleWidth(i)
+			m := row.m(r)
+			window := row.window(r, n)
 			now := units.Time(r.Intn(40))
 			plan := m.Plan(now)
 			want := exhaustiveBestPermutation(plan, window, now, utilFirst)
 
 			witness := plan.Clone()
-			got := s.bestPermutation(plan, window, now)
+			searched := plan
+			if wrap != nil {
+				searched = wrap(plan)
+			}
+			got, err := searchRecovering(s, searched, window, now)
+			if err != nil {
+				return fmt.Sprintf("utilFirst=%v round %d on %s: search failed: %v", utilFirst, i, m.Name(), err)
+			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("utilFirst=%v round %d on %s: branch-and-bound picked %v, oracle %v (window %v)",
+				return fmt.Sprintf("utilFirst=%v round %d on %s: branch-and-bound picked %v, oracle %v (window %v)",
 					utilFirst, i, m.Name(), got, want, describeWindow(window))
 			}
 			// The search speculates directly on the shared plan; every
@@ -168,6 +234,29 @@ func TestBestPermutationMatchesExhaustiveOracle(t *testing.T) {
 			}
 		}
 	}
+	return ""
+}
+
+// oracleWidth is the window size of round i: 2..5 in turn, and 6 or 7
+// every wideEvery-th round, because the exhaustive loop costs 720–5,040
+// orderings per window past the paper's W <= 5.
+func oracleWidth(i int) int {
+	const wideEvery = 40
+	if i%wideEvery == 0 {
+		return maxPermWindow - (i/wideEvery)%2
+	}
+	return 2 + i%4
+}
+
+// searchRecovering is bestPermutation with a panic (an infeasible
+// commit from an unsound plan) returned as an error.
+func searchRecovering(s *MetricAware, plan machine.Plan, window []*job.Job, now units.Time) (perm []int, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("%v", p)
+		}
+	}()
+	return s.bestPermutation(plan, window, now), nil
 }
 
 func describeWindow(window []*job.Job) [][2]int64 {

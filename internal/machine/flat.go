@@ -310,6 +310,12 @@ func (p *flatPlan) Commit(nodes int, start units.Time, walltime units.Duration, 
 	}
 }
 
+// Independent implements Plan: a flat pool has no placement identity,
+// so only time windows that share no instant are independent.
+// EarliestStart answers the earliest feasible instant, an order fixed
+// by time alone.
+func (p *flatPlan) Independent(a, b Placement) bool { return timeDisjoint(a, b) }
+
 // insertBreak ensures a breakpoint exists at t, copying the value of the
 // segment containing t.
 func (p *flatPlan) insertBreak(t units.Time) {

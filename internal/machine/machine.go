@@ -117,6 +117,21 @@ type Plan interface {
 	// size and walltime; committing an infeasible placement panics.
 	Commit(nodes int, start units.Time, walltime units.Duration, hint int)
 
+	// Independent reports whether two placements that EarliestStart
+	// returned on the plan's current state cannot interact: their time
+	// windows are disjoint, or the units they hold are (never claimed
+	// by a plan without placement identity). Committing one then leaves
+	// the other's EarliestStart answer, hint included, unchanged. Every
+	// plan meets this because commitments only remove feasible
+	// placements and EarliestStart returns the first feasible placement
+	// in an order fixed for the plan's life: the independent commit
+	// leaves the answer feasible and every placement ahead of it
+	// infeasible. A false answer is always safe; a true one never is
+	// for placements that overlap in units over a common instant. A
+	// never-fits answer (Forever, -1) is never committed and lies after
+	// every real placement's window, so it is independent of each.
+	Independent(a, b Placement) bool
+
 	// Save checkpoints the plan's commitment state and returns a mark
 	// that Restore rewinds to. Marks nest LIFO with the call stack: a
 	// mark may be restored any number of times (speculate, rewind,
@@ -140,6 +155,24 @@ type Plan interface {
 
 // PlanMark is an opaque checkpoint token returned by Plan.Save.
 type PlanMark int
+
+// Placement is one EarliestStart answer together with the request it
+// answers: Nodes for Walltime from Start, at placement Hint.
+type Placement struct {
+	Nodes    int
+	Start    units.Time
+	Walltime units.Duration
+	Hint     int
+}
+
+// End is the instant the placement's time window closes.
+func (p Placement) End() units.Time { return p.Start.Add(p.Walltime) }
+
+// timeDisjoint reports whether two placements' time windows
+// [Start, End) share no instant.
+func timeDisjoint(a, b Placement) bool {
+	return a.End() <= b.Start || b.End() <= a.Start
+}
 
 // InPlaceCloner is an optional Machine capability: CloneInto is Clone
 // with buffer reuse. When dst is a retired clone with the same

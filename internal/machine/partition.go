@@ -419,29 +419,6 @@ type planOvl struct {
 	from, to units.Time
 }
 
-// planUndo records a single sorted-insert of an interval into timeline
-// cell at position pos, so Restore can remove it again. Entries are
-// undone strictly in reverse order, which keeps recorded positions
-// valid: every later insert into the same cell is removed first.
-type planUndo struct {
-	cell, pos int
-}
-
-// undoInserts rewinds timelines by removing the logged inserts above
-// mark, newest first. Shared by the partition and torus planners.
-func undoInserts(busy [][]ival, undo []planUndo, mark int) []planUndo {
-	if mark < 0 || mark > len(undo) {
-		panic("machine: plan restore of an invalid mark")
-	}
-	for i := len(undo) - 1; i >= mark; i-- {
-		e := undo[i]
-		ivs := busy[e.cell]
-		copy(ivs[e.pos:], ivs[e.pos+1:])
-		busy[e.cell] = ivs[:len(ivs)-1]
-	}
-	return undo[:mark]
-}
-
 // Now implements Plan.
 func (pl *partPlan) Now() units.Time { return pl.now }
 
@@ -701,6 +678,24 @@ func (pl *partPlan) EarliestStart(nodes int, walltime units.Duration) (units.Tim
 		}
 	}
 	return best, hint
+}
+
+// Independent implements Plan: time windows apart, or aligned blocks
+// that share no midplane. EarliestStart's answer order is by start,
+// then block index, except that at now a block the machine holds idle
+// comes before one that is only free in the profile (an overdue
+// midplane). That split never reorders feasible placements: the machine
+// changes under a plan only when a job starts on a block the plan has
+// committed at now, which no feasible placement at now can touch.
+func (pl *partPlan) Independent(a, b Placement) bool {
+	if timeDisjoint(a, b) {
+		return true
+	}
+	wa, wb := pl.m.BlockMidplanes(a.Nodes), pl.m.BlockMidplanes(b.Nodes)
+	if wa < 0 || wb < 0 || a.Hint < 0 || b.Hint < 0 {
+		return false
+	}
+	return a.Hint+wa <= b.Hint || b.Hint+wb <= a.Hint
 }
 
 // Commit implements Plan.

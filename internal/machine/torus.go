@@ -173,22 +173,27 @@ func (t *Torus) placements(nodes int, f func(hint int, cells []int) bool) {
 	}
 }
 
-// decodeHint recovers the cell set for a placement hint.
-func (t *Torus) decodeHint(nodes, hint int) []int {
+// cuboid decodes a placement hint into the cuboid's origin and extents
+// along (x, y, z); ok is false when the hint names no placement.
+func (t *Torus) cuboid(nodes, hint int) (origin, extent [3]int, ok bool) {
 	shapes := t.shapesFor(nodes)
 	numCells := t.x * t.y * t.z
-	if hint < 0 || len(shapes) == 0 {
+	if hint < 0 || hint/numCells >= len(shapes) {
+		return origin, extent, false
+	}
+	s, o := shapes[hint/numCells], hint%numCells
+	origin = [3]int{o / (t.y * t.z), (o / t.z) % t.y, o % t.z}
+	extent = [3]int{s.a, s.b, s.c}
+	return origin, extent, true
+}
+
+// decodeHint recovers the cell set for a placement hint.
+func (t *Torus) decodeHint(nodes, hint int) []int {
+	o, e, ok := t.cuboid(nodes, hint)
+	if !ok {
 		return nil
 	}
-	si := hint / numCells
-	if si >= len(shapes) {
-		return nil
-	}
-	origin := hint % numCells
-	ox := origin / (t.y * t.z)
-	oy := (origin / t.z) % t.y
-	oz := origin % t.z
-	return t.cellsAt(shapes[si], ox, oy, oz)
+	return t.cellsAt(shape{e[0], e[1], e[2]}, o[0], o[1], o[2])
 }
 
 // cellsFreeNow reports whether every cell is idle.
@@ -302,6 +307,29 @@ type torusPlan struct {
 	undo []planUndo
 }
 
+// planUndo records a single sorted-insert of an interval into timeline
+// cell at position pos, so Restore can remove it again. Entries are
+// undone strictly in reverse order, which keeps recorded positions
+// valid: every later insert into the same cell is removed first.
+type planUndo struct {
+	cell, pos int
+}
+
+// undoInserts rewinds timelines by removing the logged inserts above
+// mark, newest first.
+func undoInserts(busy [][]ival, undo []planUndo, mark int) []planUndo {
+	if mark < 0 || mark > len(undo) {
+		panic("machine: plan restore of an invalid mark")
+	}
+	for i := len(undo) - 1; i >= mark; i-- {
+		e := undo[i]
+		ivs := busy[e.cell]
+		copy(ivs[e.pos:], ivs[e.pos+1:])
+		busy[e.cell] = ivs[:len(ivs)-1]
+	}
+	return undo[:mark]
+}
+
 // Now implements Plan.
 func (pl *torusPlan) Now() units.Time { return pl.now }
 
@@ -370,6 +398,26 @@ func (pl *torusPlan) EarliestStart(nodes int, walltime units.Duration) (units.Ti
 		return best != pl.now // stop early on an immediate fit
 	})
 	return best, hint
+}
+
+// Independent implements Plan: time windows apart, or cuboids that
+// share no cell. EarliestStart's answer order is by start, then
+// placement index, fixed for the plan's life.
+func (pl *torusPlan) Independent(a, b Placement) bool {
+	if timeDisjoint(a, b) {
+		return true
+	}
+	ao, as, aok := pl.m.cuboid(a.Nodes, a.Hint)
+	bo, bs, bok := pl.m.cuboid(b.Nodes, b.Hint)
+	if !aok || !bok {
+		return false
+	}
+	for d := range ao {
+		if ao[d]+as[d] <= bo[d] || bo[d]+bs[d] <= ao[d] {
+			return true
+		}
+	}
+	return false
 }
 
 // Commit implements Plan.
