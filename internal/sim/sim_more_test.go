@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -246,3 +247,105 @@ const (
 	multiMetricHash = "3aa3400a013831311e1a96b8206e8a50b922b0609ca753335a874332d5898bca"
 	multiMetricFair = 857042133
 )
+
+// TestBackfillFamilyScheduleHashes pins the exact schedule of every
+// queue-order/reservation-depth policy — strict lists, first fit, EASY,
+// conservative, relaxed, fair share and dynP — on each machine model,
+// Paranoid on, plus fairness-on legs for a strict list and fair share:
+// a refactor of the backfill pass must not move a single start.
+func TestBackfillFamilyScheduleHashes(t *testing.T) {
+	cfg := workload.Mini(23)
+	cfg.MaxJobs = 400
+	jobs, err := cfg.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	policies := []struct {
+		name string
+		mk   func() sched.Scheduler
+	}{
+		{"fcfs", func() sched.Scheduler { return sched.NewFCFS() }},
+		{"sjf", func() sched.Scheduler { return sched.NewSJF() }},
+		{"ljf", func() sched.Scheduler { return sched.NewLJF() }},
+		{"firstfit", func() sched.Scheduler { return sched.NewFirstFit() }},
+		{"easy", func() sched.Scheduler { return sched.NewEASY() }},
+		{"conservative", func() sched.Scheduler { return sched.NewConservative() }},
+		{"relaxed:10", func() sched.Scheduler { return sched.NewRelaxed(10 * units.Minute) }},
+		{"wfp", func() sched.Scheduler { return sched.NewWFP() }},
+		{"fairshare:6h", func() sched.Scheduler { return sched.NewFairShare(6 * units.Hour) }},
+		{"dynp", func() sched.Scheduler { return sched.NewDynP() }},
+	}
+	machines := []struct {
+		name string
+		mk   func() machine.Machine
+	}{
+		{"flat", func() machine.Machine { return machine.NewFlat(512) }},
+		{"partition", func() machine.Machine { return machine.NewPartition(8, 64) }},
+		{"torus", func() machine.Machine { return machine.NewTorus(2, 2, 2, 64) }},
+	}
+	got := make(map[string]string)
+	leg := func(name string, cfg Config) {
+		cfg.Paranoid = true
+		res := run(t, cfg, jobs)
+		h := scheduleHash(res)
+		got[name] = hex.EncodeToString(h[:8])
+		if cfg.Fairness {
+			var fair units.Duration
+			for id, ts := range res.FairStarts {
+				fair += units.Duration(ts) * units.Duration(id)
+			}
+			got[name] += fmt.Sprintf("/%d", fair)
+		}
+	}
+	for _, m := range machines {
+		for _, p := range policies {
+			leg(p.name+"@"+m.name, Config{Machine: m.mk(), Scheduler: p.mk()})
+		}
+	}
+	leg("fcfs@partition+fair", Config{Machine: machines[1].mk(), Scheduler: sched.NewFCFS(), Fairness: true})
+	leg("fairshare:6h@partition+fair", Config{Machine: machines[1].mk(), Scheduler: sched.NewFairShare(6 * units.Hour), Fairness: true})
+
+	for name, h := range got {
+		if want := backfillFamilyHashes[name]; h != want {
+			t.Errorf("%s: schedule hash %s, want %s", name, h, want)
+		}
+	}
+	if len(got) != len(backfillFamilyHashes) {
+		t.Errorf("ran %d legs, pinned %d", len(got), len(backfillFamilyHashes))
+	}
+}
+
+var backfillFamilyHashes = map[string]string{
+	"conservative@flat":           "8eef95b12fa276ff",
+	"conservative@partition":      "7bf9803f00a49790",
+	"conservative@torus":          "9c5bc555dd8676a3",
+	"dynp@flat":                   "aba86e52421afd05",
+	"dynp@partition":              "c3417c035f7e16fb",
+	"dynp@torus":                  "1dee5c91bb56ae6b",
+	"easy@flat":                   "45e1addfa35694fd",
+	"easy@partition":              "1eb08a8efe5d30c8",
+	"easy@torus":                  "4e2f15136fa3c309",
+	"fairshare:6h@flat":           "097dff2828618a3d",
+	"fairshare:6h@partition":      "f4055cdfaef099c3",
+	"fairshare:6h@partition+fair": "f4055cdfaef099c3/6964692275",
+	"fairshare:6h@torus":          "e1f3c09265ba8e40",
+	"fcfs@flat":                   "a997546d4e60ae89",
+	"fcfs@partition":              "da7d123fbe567478",
+	"fcfs@partition+fair":         "da7d123fbe567478/7951758536",
+	"fcfs@torus":                  "b421cb5d2167cdbe",
+	"firstfit@flat":               "16d0777232315fb3",
+	"firstfit@partition":          "c160376c6dd6399f",
+	"firstfit@torus":              "5fb4180ba474ab32",
+	"ljf@flat":                    "ee17cb2d6313636f",
+	"ljf@partition":               "1a82fff306d640f6",
+	"ljf@torus":                   "2147494d7ba0e08a",
+	"relaxed:10@flat":             "7fdec4d5d1053a62",
+	"relaxed:10@partition":        "02ba4300ca7a2037",
+	"relaxed:10@torus":            "61496898aba970c5",
+	"sjf@flat":                    "59817c7fe6fd5569",
+	"sjf@partition":               "79a61056c89152ca",
+	"sjf@torus":                   "a6b8148c3b2bb00e",
+	"wfp@flat":                    "5aeb6356f3c98842",
+	"wfp@partition":               "283386fdef12c3b3",
+	"wfp@torus":                   "bd8e9fcb3ca1433b",
+}
