@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"amjs/internal/cli"
 	"amjs/internal/metrics"
@@ -24,7 +25,7 @@ func main() {
 	var (
 		machineSpec  = flag.String("machine", "intrepid", "machine model: intrepid, flat:N, partition:MxK")
 		workloadSpec = flag.String("workload", "intrepid", "workload: intrepid, intrepid-heavy, mini, swf:PATH")
-		policySpec   = flag.String("policy", "easy", "policy: fcfs, sjf, ljf, firstfit, easy, conservative, wfp, dynp, metric:BF:W, adaptive:{bf,w,2d}[:THRESHOLD], whatif[:OBJ[:HORIZON-H[:observe]]]")
+		policySpec   = flag.String("policy", "easy", "policy: "+strings.Join(cli.PolicySpecs, ", "))
 		seed         = flag.Int64("seed", 42, "workload generator seed")
 		maxJobs      = flag.Int("jobs", 0, "cap the number of jobs (0 = no cap)")
 		fairness     = flag.Bool("fairness", false, "run the fair-start oracle (slower; enables the unfair-job count)")

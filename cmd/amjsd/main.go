@@ -69,7 +69,7 @@ func run(ctx context.Context, args []string, announce io.Writer) error {
 	var (
 		addr        = fs.String("addr", "127.0.0.1:8080", "listen address")
 		machineSpec = fs.String("machine", "intrepid", "machine model: intrepid, flat:N, partition:MxK")
-		policySpec  = fs.String("policy", "easy", "policy: easy, metric:BF:W, adaptive:{bf,w,2d}[:THRESHOLD], whatif[:OBJ[:HORIZON-H]], ...")
+		policySpec  = fs.String("policy", "easy", "policy: "+strings.Join(cli.PolicySpecs, ", "))
 		speedupSpec = fs.String("speedup", "60", "virtual seconds per wall second, or \"inf\" for batch semantics")
 		period      = fs.Duration("period", 10*time.Second, "scheduling pass period in virtual time (0 = event-driven)")
 		checkEvery  = fs.Duration("check-interval", 30*time.Minute, "adaptive checking interval C_i in virtual time")

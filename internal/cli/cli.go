@@ -125,7 +125,8 @@ var PolicySpecs = []string{
 
 // ParsePolicy builds a scheduler from a spec:
 //
-//	fcfs | sjf | ljf | firstfit        plain list policies
+//	fcfs | sjf | ljf | firstfit        reservation depth 0: strict lists
+//	                                   and greedy first fit
 //	easy | conservative | wfp | dynp   backfilling baselines
 //	unicef | largest | smallest        zoo orders with EASY backfilling
 //	fairshare[:HALFLIFE-HOURS]         decayed-usage fair share

@@ -66,8 +66,7 @@ func (d *DynP) Schedule(env Env) {
 		}
 	}
 	d.lastChoice = best
-	exec := Reserving{PolicyName: "dynp-exec", Order: d.Candidates[best]}
-	exec.Schedule(env)
+	backfill(env, d.Candidates[best](env.Now(), queue), 1, false, nil)
 }
 
 // estimateAvgWait builds the order's tentative schedule on a plan clone

@@ -14,6 +14,12 @@ import (
 // Maui/Moab-class schedulers (§II discusses their weighted-priority
 // approach). Jobs run with EASY backfilling over the fair-share order.
 //
+// The charge is clairvoyant: a start is charged its NodeSeconds, the
+// nodes times the job's actual Runtime, at the instant it starts, so
+// the ledger reads how long the job will really run before it has run.
+// A production scheduler knows only the walltime request then, and
+// charges usage as it accrues.
+//
 // FairShare is stateful across scheduling passes; Clone carries the
 // usage ledger, so nested fairness simulations see the current shares.
 type FairShare struct {
@@ -78,24 +84,8 @@ func (f *FairShare) Schedule(env Env) {
 	if len(queue) == 0 {
 		return
 	}
-	now := env.Now()
-	f.decayTo(now)
-	plan := env.Machine().Plan(now)
-	reservedOne := false
-	for _, j := range f.order(queue) {
-		ts, hint := plan.EarliestStart(j.Nodes, j.Walltime)
-		if ts == now && env.StartAt(j, hint) {
-			plan.Commit(j.Nodes, now, j.Walltime, hint)
-			f.usage[j.User] += float64(j.NodeSeconds())
-			continue
-		}
-		if ts == units.Forever {
-			continue
-		}
-		if !reservedOne {
-			plan.Commit(j.Nodes, ts, j.Walltime, hint)
-			reservedOne = true
-		}
-	}
-	recyclePlan(env.Machine(), plan)
+	f.decayTo(env.Now())
+	backfill(env, f.order(queue), 1, false, func(j *job.Job) {
+		f.usage[j.User] += float64(j.NodeSeconds())
+	})
 }

@@ -1,10 +1,13 @@
 // Package sched defines the scheduler interface the simulator drives
 // and implements the classic baseline policies the paper compares
-// against: FCFS/SJF/LJF list scheduling, EASY, conservative and
-// relaxed backfilling over the classic queue orders (WFP, UNICEF,
+// against: FCFS/SJF/LJF list scheduling, first fit, EASY, conservative
+// and relaxed backfilling over the classic queue orders (WFP, UNICEF,
 // size- and expansion-ordered), fair share, and a dynP-style
 // self-tuning policy switcher. Every priority order ranks by one rule,
-// ComparePriority.
+// ComparePriority. The list and backfilling policies differ only in
+// queue order and reservation depth (Reserving) and, relaxed
+// backfilling aside, run one placement loop; fair share and dynP run
+// it too.
 //
 // The paper's own contribution — metric-aware windowed scheduling with
 // adaptive policy tuning — lives in package core and implements the
@@ -28,7 +31,7 @@ type Env interface {
 	Now() units.Time
 
 	// Machine is the resource being scheduled. Schedulers may query it
-	// and obtain Plans, but must start jobs only through Start/StartAt.
+	// and obtain Plans, but must start jobs only through StartAt.
 	Machine() machine.Machine
 
 	// Queue returns the waiting jobs in submission order as a shared
@@ -36,15 +39,12 @@ type Env interface {
 	// and reused across passes, so schedulers must not modify the slice
 	// in place (copy it before reordering — see byKey) and must not
 	// retain it across Schedule calls. The pointed-to jobs are shared
-	// with the engine; schedulers mutate them only through Start/StartAt.
+	// with the engine; schedulers mutate them only through StartAt.
 	Queue() []*job.Job
 
-	// Start begins a job now with default placement, returning false if
-	// it does not fit. On success the job leaves the queue.
-	Start(j *job.Job) bool
-
 	// StartAt begins a job now at the placement hint previously obtained
-	// from a machine Plan.
+	// from a machine Plan, returning false if it does not fit there. On
+	// success the job leaves the queue.
 	StartAt(j *job.Job, hint int) bool
 }
 

@@ -704,16 +704,6 @@ func (e *engine) Machine() machine.Machine { return e.machine }
 // keeps the per-pass cost allocation-free.
 func (e *engine) Queue() []*job.Job { return e.queue.jobs() }
 
-// Start implements sched.Env.
-func (e *engine) Start(j *job.Job) bool {
-	a, ok := e.machine.TryStart(j.ID, j.Nodes, e.now, j.Walltime)
-	if !ok {
-		return false
-	}
-	e.begin(j, a)
-	return true
-}
-
 // StartAt implements sched.Env.
 func (e *engine) StartAt(j *job.Job, hint int) bool {
 	a, ok := e.machine.TryStartAt(j.ID, j.Nodes, e.now, j.Walltime, hint)

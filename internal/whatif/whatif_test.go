@@ -82,7 +82,6 @@ type fakeEnv struct {
 func (f *fakeEnv) Now() units.Time                      { return f.now }
 func (f *fakeEnv) Machine() machine.Machine             { return nil }
 func (f *fakeEnv) Queue() []*job.Job                    { return f.queue }
-func (f *fakeEnv) Start(*job.Job) bool                  { return false }
 func (f *fakeEnv) StartAt(*job.Job, int) bool           { return false }
 func (f *fakeEnv) QueueDepthMinutes() float64           { return 0 }
 func (f *fakeEnv) UtilWindowAvg(units.Duration) float64 { return 0 }
