@@ -35,12 +35,12 @@ vet:
 # A one-iteration pass over the scheduling benchmarks: catches bench
 # bit-rot without the minutes-long measured run. The warm-ranking and
 # window-search-counter families live in internal/core and the
-# ingest-decode and daemon-cycle families in internal/server, so those
-# paths are swept too.
+# ingest-decode, daemon-cycle and batch-submit families in
+# internal/server, so those paths are swept too.
 bench-smoke:
 	$(GO) test -timeout 5m -run '^$$' -bench 'ScheduleIteration|PlanEarliestStart|PlanStartableNowOverlays|PlanCommit|SimEndToEnd|SimAtScale|SimWhatIf|FairPeriodic' -benchtime 1x .
 	$(GO) test -timeout 5m -run '^$$' -bench 'PrioritizeWarm|WindowSearchYear' -benchtime 1x ./internal/core
-	$(GO) test -timeout 5m -run '^$$' -bench 'IngestDecode|DaemonCycle' -benchtime 1x ./internal/server
+	$(GO) test -timeout 5m -run '^$$' -bench 'IngestDecode|DaemonCycle|BatchSubmit' -benchtime 1x ./internal/server
 
 # load-smoke boots amjsd on an ephemeral port and batch-submits 100k
 # jobs over real TCP loopback, failing below a conservative throughput
@@ -100,8 +100,9 @@ benchmark:
 # profile captures CPU and heap profiles of the at-scale simulation
 # (cpu.prof, mem.prof), of the fairness oracle on the Table II month
 # (fair-cpu.prof, fair-mem.prof), of the event-mode what-if tuner
-# (whatif-cpu.prof, whatif-mem.prof) and of the daemon's in-process
-# submit-to-drain cycle (daemon-cpu.prof, daemon-mem.prof) for pprof,
+# (whatif-cpu.prof, whatif-mem.prof), of the daemon's in-process
+# submit-to-drain cycle (daemon-cpu.prof, daemon-mem.prof) and of its
+# HTTP batch admission path (batch-cpu.prof, batch-mem.prof) for pprof,
 # e.g. `go tool pprof -top fair-cpu.prof`.
 profile:
 	$(GO) test -timeout 10m -run '^$$' -bench 'SimAtScale' -benchtime 5x \
@@ -112,6 +113,8 @@ profile:
 		-cpuprofile whatif-cpu.prof -memprofile whatif-mem.prof .
 	$(GO) test -timeout 10m -run '^$$' -bench 'DaemonCycle' -benchtime 10x \
 		-cpuprofile daemon-cpu.prof -memprofile daemon-mem.prof ./internal/server
+	$(GO) test -timeout 10m -run '^$$' -bench 'BatchSubmit' -benchtime 4000x \
+		-cpuprofile batch-cpu.prof -memprofile batch-mem.prof ./internal/server
 
 # loc prints the Go line counts a simplicity change reports: every line
 # of every non-test .go file outside benchmarks/ and inside it, then the
@@ -128,4 +131,5 @@ run-daemon:
 		-policy adaptive:2d:1000 -speedup 60
 
 clean:
-	rm -f amjs.test server.test cpu.prof mem.prof fair-cpu.prof fair-mem.prof daemon-cpu.prof daemon-mem.prof
+	rm -f amjs.test server.test cpu.prof mem.prof fair-cpu.prof fair-mem.prof daemon-cpu.prof daemon-mem.prof \
+		whatif-cpu.prof whatif-mem.prof batch-cpu.prof batch-mem.prof

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -274,5 +275,63 @@ func TestCheckpointRoundTripEquivalence(t *testing.T) {
 			t.Fatalf("job %d: restored start/end differ from uninterrupted run: %+v vs %+v",
 				w.ID, g, w)
 		}
+	}
+}
+
+// TestRestoreCheckpointIDs: restore reads the saved IDs before it
+// requeues anything. A file whose next_id is missing or does not exceed
+// the largest saved ID restores, and new jobs get fresh IDs past it; a
+// duplicate, non-positive or out-of-domain ID rejects the whole file.
+func TestRestoreCheckpointIDs(t *testing.T) {
+	savedJob := func(id int) string {
+		return fmt.Sprintf(`{"id": %d, "nodes": 4, "walltime_sec": 60, "runtime_sec": 60}`, id)
+	}
+	cases := []struct {
+		name, payload string
+		wantNext      int    // first ID issued after a clean restore
+		wantErr       string // or the error New must return
+	}{
+		{"missing next_id", `{"version": 1, "jobs": [` + savedJob(1) + `, ` + savedJob(2) + `]}`, 3, ""},
+		{"next_id at most the largest ID", `{"version": 1, "next_id": 2, "jobs": [` + savedJob(1) + `, ` + savedJob(5) + `]}`, 6, ""},
+		{"duplicate ID", `{"version": 1, "next_id": 3, "jobs": [` + savedJob(2) + `, ` + savedJob(2) + `]}`, 0, "duplicate ID"},
+		{"non-positive ID", `{"version": 1, "next_id": 3, "jobs": [` + savedJob(0) + `]}`, 0, "job ID 0 outside"},
+		{"out-of-domain ID", `{"version": 1, "jobs": [` + savedJob(1<<40) + `]}`, 0, "outside 1..2147483647"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "queue.json")
+			if err := os.WriteFile(path, []byte(tc.payload), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			d, err := New(Config{
+				Machine:        machine.NewFlat(100),
+				Scheduler:      sched.NewEASY(),
+				Speedup:        math.Inf(1),
+				CheckpointPath: path,
+				Logger:         quietLogger(),
+			})
+			if tc.wantErr != "" {
+				if err == nil {
+					d.Close()
+				}
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("New = %v, want error containing %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			for i := 0; i < 3; i++ {
+				st, err := d.Submit(SubmitRequest{User: "v", Nodes: 1, WalltimeSec: 60})
+				if err != nil {
+					t.Fatalf("submit %d after restore: %v", i, err)
+				}
+				if st.ID != tc.wantNext+i {
+					t.Fatalf("submit %d after restore got ID %d, want %d", i, st.ID, tc.wantNext+i)
+				}
+			}
+		})
 	}
 }

@@ -118,10 +118,9 @@ type Daemon struct {
 	closed  bool
 	closing bool // Close in progress: ingest winding down, engine still open
 
-	// predicted is the optimistic start estimate recorded at
-	// submission, indexed by job ID (the daemon issues IDs densely from
-	// 1); -1 means no prediction.
-	predicted []units.Time
+	// predicted is the optimistic start estimate recorded at each job's
+	// admission, by job ID; -1 means no prediction.
+	predicted job.IDTable[units.Time]
 
 	lanes *lanes    // sharded batch-admission front end
 	hub   *eventHub // /v1/events fan-out
@@ -290,7 +289,7 @@ func (d *Daemon) vnowLocked() units.Time {
 func (d *Daemon) Submit(req SubmitRequest) (JobStatus, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	st, err := d.submitLocked(req)
+	st, err := d.submitLocked(&req, nil)
 	if err != nil {
 		return st, err
 	}
@@ -307,7 +306,9 @@ func (d *Daemon) Submit(req SubmitRequest) (JobStatus, error) {
 // overload) are reported in the corresponding SubmitResult, never as a
 // batch-level error.
 func (d *Daemon) SubmitBatch(reqs []SubmitRequest) []SubmitResult {
-	return d.lanes.SubmitBatch(reqs)
+	results := make([]SubmitResult, len(reqs))
+	d.lanes.submit(reqs, results)
+	return results
 }
 
 // Flush forces every staged ingest-lane submission into the engine
@@ -319,8 +320,9 @@ func (d *Daemon) Flush() { d.lanes.flushAll() }
 // line (the flusher logs per batch) but otherwise matches Submit
 // exactly — same validation, same ID sequence, same virtual-time
 // stamping — so batched and serial admission are observationally
-// identical.
-func (d *Daemon) submitLocked(req SubmitRequest) (JobStatus, error) {
+// identical. pred is the storage the status's PredictedStartSec points
+// at (see statusLocked).
+func (d *Daemon) submitLocked(req *SubmitRequest, pred *int64) (JobStatus, error) {
 	if d.closed {
 		return JobStatus{}, ErrClosed
 	}
@@ -332,15 +334,14 @@ func (d *Daemon) submitLocked(req SubmitRequest) (JobStatus, error) {
 	if runtime <= 0 {
 		runtime = req.WalltimeSec
 	}
-	src := &job.Job{
+	j, err := d.live.Submit(&job.Job{
 		ID:       d.nextID,
 		User:     req.User,
 		Submit:   submit,
 		Nodes:    req.Nodes,
 		Walltime: units.Duration(req.WalltimeSec),
 		Runtime:  units.Duration(runtime),
-	}
-	j, err := d.live.Submit(src)
+	})
 	if err != nil {
 		return JobStatus{}, err
 	}
@@ -352,7 +353,7 @@ func (d *Daemon) submitLocked(req SubmitRequest) (JobStatus, error) {
 			State: job.Submitted.String(),
 		})
 	}
-	return d.statusLocked(j), nil
+	return d.statusLocked(j, pred), nil
 }
 
 // Cancel withdraws a job that has not started.
@@ -381,7 +382,7 @@ func (d *Daemon) Job(id int) (JobStatus, error) {
 	if !ok {
 		return JobStatus{}, ErrUnknownJob
 	}
-	return d.statusLocked(j), nil
+	return d.statusLocked(j, nil), nil
 }
 
 // Queue reports the waiting jobs in arrival order.
@@ -396,7 +397,7 @@ func (d *Daemon) Queue() QueueStatus {
 		Jobs:         make([]JobStatus, 0, len(waiting)),
 	}
 	for _, j := range waiting {
-		out.Jobs = append(out.Jobs, d.statusLocked(j))
+		out.Jobs = append(out.Jobs, d.statusLocked(j, nil))
 	}
 	return out
 }
@@ -496,7 +497,7 @@ type Snapshot struct {
 func (d *Daemon) Stats() Snapshot {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	m := d.live.Machine()
+	m, c := d.live.Machine(), d.live.Collector()
 	s := Snapshot{
 		VirtualSec:        int64(d.vnowLocked()),
 		QueueJobs:         d.live.QueueLen(),
@@ -505,8 +506,10 @@ func (d *Daemon) Stats() Snapshot {
 		Accepted:          d.live.Accepted(),
 		Rejected:          d.live.Rejected(),
 		Cancelled:         d.live.Cancelled(),
-		AvgBSLD:           d.live.Collector().AvgBSLD(),
-		MaxBSLD:           d.live.Collector().MaxBSLD(),
+		Finished:          c.FinishedCount(),
+		Killed:            c.KilledCount(),
+		AvgBSLD:           c.AvgBSLD(),
+		MaxBSLD:           c.MaxBSLD(),
 	}
 	if t := m.TotalNodes(); t > 0 {
 		s.Utilization = float64(m.UsedNodes()) / float64(t)
@@ -514,9 +517,6 @@ func (d *Daemon) Stats() Snapshot {
 	if bf, w, ok := d.live.Tunables(); ok {
 		s.BF, s.W, s.HasTunables = bf, w, true
 	}
-	states := d.live.States()
-	s.Finished = states[job.Finished]
-	s.Killed = states[job.Killed]
 	if ws, ok := d.live.WhatIfStatus(); ok {
 		s.WhatIf = &ws
 	}
@@ -567,16 +567,17 @@ func (d *Daemon) Close() error {
 // predictLocked records the session's start estimate for a job just
 // admitted. Callers hold d.mu.
 func (d *Daemon) predictLocked(id int) {
-	for len(d.predicted) <= id {
-		d.predicted = append(d.predicted, -1)
+	ts, ok := d.live.PredictStart(id)
+	if !ok {
+		ts = -1
 	}
-	if ts, ok := d.live.PredictStart(id); ok {
-		d.predicted[id] = ts
-	}
+	d.predicted.Set(id, ts)
 }
 
-// statusLocked renders a job's wire status. Callers hold d.mu.
-func (d *Daemon) statusLocked(j *job.Job) JobStatus {
+// statusLocked renders a job's wire status. pred is the storage its
+// PredictedStartSec points at, so the lane flusher can hand out the
+// elements of one array per batch; nil allocates. Callers hold d.mu.
+func (d *Daemon) statusLocked(j *job.Job, pred *int64) JobStatus {
 	st := JobStatus{
 		ID:          j.ID,
 		User:        j.User,
@@ -585,9 +586,12 @@ func (d *Daemon) statusLocked(j *job.Job) JobStatus {
 		State:       j.State.String(),
 		SubmitSec:   int64(j.Submit),
 	}
-	if j.ID < len(d.predicted) && d.predicted[j.ID] >= 0 {
-		p := int64(d.predicted[j.ID])
-		st.PredictedStartSec = &p
+	if p := d.predicted.Get(j.ID); p >= 0 {
+		if pred == nil {
+			pred = new(int64)
+		}
+		*pred = int64(p)
+		st.PredictedStartSec = pred
 	}
 	switch j.State {
 	case job.Running:
@@ -632,11 +636,7 @@ func (d *Daemon) checkpointLocked(path string) (int, error) {
 		SavedSec: int64(d.live.Now()),
 		NextID:   d.nextID,
 	}
-	for id := 1; id < d.nextID; id++ {
-		j, ok := d.live.Job(id)
-		if !ok {
-			continue
-		}
+	d.live.Each(func(j *job.Job) {
 		switch j.State {
 		case job.Submitted, job.Queued, job.Running:
 			cp.Jobs = append(cp.Jobs, checkpointJob{
@@ -645,7 +645,7 @@ func (d *Daemon) checkpointLocked(path string) (int, error) {
 				OrigSubmitSec: int64(j.Submit),
 			})
 		}
-	}
+	})
 	data, err := json.MarshalIndent(cp, "", "  ")
 	if err != nil {
 		return 0, err
@@ -664,7 +664,10 @@ func (d *Daemon) checkpointLocked(path string) (int, error) {
 }
 
 // restore requeues a saved checkpoint. A missing file is not an error —
-// it is the normal first boot.
+// it is the normal first boot. Every saved ID must be unique and in
+// 1..job.MaxID, and next_id no larger than job.MaxID, or the whole file
+// is rejected before anything is requeued; new IDs continue past both
+// next_id and the largest saved ID.
 func (d *Daemon) restore(path string) error {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -680,6 +683,20 @@ func (d *Daemon) restore(path string) error {
 	if cp.Version != checkpointVersion {
 		return fmt.Errorf("server: checkpoint %s: unsupported version %d", path, cp.Version)
 	}
+	if cp.NextID > job.MaxID {
+		return fmt.Errorf("server: checkpoint %s: next_id %d above %d", path, cp.NextID, job.MaxID)
+	}
+	seen := make(map[int]bool, len(cp.Jobs))
+	for _, cj := range cp.Jobs {
+		switch {
+		case cj.ID <= 0 || cj.ID > job.MaxID:
+			return fmt.Errorf("server: checkpoint %s: job ID %d outside 1..%d", path, cj.ID, job.MaxID)
+		case seen[cj.ID]:
+			return fmt.Errorf("server: checkpoint %s: requeueing checkpointed job %d: duplicate ID", path, cj.ID)
+		}
+		seen[cj.ID] = true
+		d.nextID = max(d.nextID, cj.ID+1)
+	}
 	for _, cj := range cp.Jobs {
 		j, err := d.live.Submit(&job.Job{
 			ID:       cj.ID,
@@ -694,9 +711,7 @@ func (d *Daemon) restore(path string) error {
 		}
 		d.predictLocked(j.ID)
 	}
-	if cp.NextID > d.nextID {
-		d.nextID = cp.NextID
-	}
+	d.nextID = max(d.nextID, cp.NextID)
 	d.log.Info("checkpoint restored", "path", path, "jobs", len(cp.Jobs))
 	return nil
 }

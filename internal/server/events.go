@@ -89,7 +89,6 @@ func (h *eventHub) publish(ev JobEvent) {
 	h.mu.Lock()
 	h.seq++
 	ev.Seq = h.seq
-	h.published.Add(1)
 	for s := range h.subs {
 		if !s.wants(&ev) {
 			h.filtered.Add(1)
@@ -110,6 +109,9 @@ func (h *eventHub) publish(ev JobEvent) {
 		default:
 		}
 	}
+	// Counted once every ring holds the event, so a reader that sees the
+	// count also finds the event in its ring.
+	h.published.Add(1)
 	h.mu.Unlock()
 }
 

@@ -11,6 +11,7 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"amjs/internal/sim"
@@ -206,6 +207,22 @@ func appendJSONString(buf *bytes.Buffer, s string) {
 	buf.WriteByte('"')
 }
 
+// batchBuffers is one batch request's decoded requests and their
+// index-aligned results, recycled through batchPool so a warm batch
+// allocates nothing per element. The request's handler owns them from
+// Get to Put; the lanes write into results while it waits.
+type batchBuffers struct {
+	reqs    []SubmitRequest
+	results []SubmitResult
+}
+
+var batchPool = sync.Pool{New: func() any { return new(batchBuffers) }}
+
+// appendInt appends v in decimal without boxing it.
+func appendInt(buf *bytes.Buffer, v int64) {
+	buf.Write(strconv.AppendInt(buf.AvailableBuffer(), v, 10))
+}
+
 // submitBatch serves the array form of POST /v1/jobs.
 //
 // Partial-failure semantics: a well-formed array is always answered
@@ -221,24 +238,19 @@ func (a *API) submitBatch(w http.ResponseWriter, r *http.Request, body []byte) {
 	if maxBatch <= 0 {
 		maxBatch = DefaultMaxBatch
 	}
-	var (
-		reqs    []SubmitRequest
-		decErrs []error
-		nBad    int
-	)
-	if _, err := splitBatch(body, func(i int, elem []byte) error {
+	bb := batchPool.Get().(*batchBuffers)
+	defer batchPool.Put(bb)
+	reqs, results := bb.reqs[:0], bb.results[:0]
+	_, err := splitBatch(body, func(i int, elem []byte) error {
 		if i >= maxBatch {
 			return errBatchTooLarge
 		}
-		var req SubmitRequest
-		e := a.scan.decodeSubmit(elem, &req)
-		reqs = append(reqs, req)
-		decErrs = append(decErrs, e)
-		if e != nil {
-			nBad++
-		}
+		reqs = append(reqs, SubmitRequest{})
+		results = append(results, SubmitResult{Err: a.scan.decodeSubmit(elem, &reqs[i])})
 		return nil
-	}); err != nil {
+	})
+	bb.reqs, bb.results = reqs, results
+	if err != nil {
 		if errors.Is(err, errBatchTooLarge) {
 			writeError(w, http.StatusRequestEntityTooLarge,
 				"batch exceeds %d items", maxBatch)
@@ -248,29 +260,9 @@ func (a *API) submitBatch(w http.ResponseWriter, r *http.Request, body []byte) {
 		return
 	}
 
-	// Admit the decodable items in one lane batch; merge results back
-	// into element order.
-	results := make([]SubmitResult, len(reqs))
-	if nBad == 0 {
-		results = a.d.SubmitBatch(reqs)
-	} else {
-		valid := make([]SubmitRequest, 0, len(reqs)-nBad)
-		for i, e := range decErrs {
-			if e == nil {
-				valid = append(valid, reqs[i])
-			}
-		}
-		vres := a.d.SubmitBatch(valid)
-		vi := 0
-		for i, e := range decErrs {
-			if e != nil {
-				results[i] = SubmitResult{Err: e}
-			} else {
-				results[i] = vres[vi]
-				vi++
-			}
-		}
-	}
+	// Admit the decodable items in one lane batch; the lanes skip the
+	// elements whose decode error is already in their result slot.
+	a.d.lanes.submit(reqs, results)
 
 	accepted := 0
 	for i := range results {
@@ -283,7 +275,10 @@ func (a *API) submitBatch(w http.ResponseWriter, r *http.Request, body []byte) {
 	buf := respPool.Get().(*bytes.Buffer)
 	defer respPool.Put(buf)
 	buf.Reset()
-	fmt.Fprintf(buf, `{"accepted":%d,"failed":%d`, accepted, len(results)-accepted)
+	buf.WriteString(`{"accepted":`)
+	appendInt(buf, int64(accepted))
+	buf.WriteString(`,"failed":`)
+	appendInt(buf, int64(len(results)-accepted))
 	if !countOnly {
 		buf.WriteString(`,"results":[`)
 		for i := range results {
@@ -297,9 +292,13 @@ func (a *API) submitBatch(w http.ResponseWriter, r *http.Request, body []byte) {
 				continue
 			}
 			st := &results[i].Status
-			fmt.Fprintf(buf, `{"id":%d,"state":`, st.ID)
+			buf.WriteString(`{"id":`)
+			appendInt(buf, int64(st.ID))
+			buf.WriteString(`,"state":`)
 			appendJSONString(buf, st.State)
-			fmt.Fprintf(buf, `,"submit_sec":%d}`, st.SubmitSec)
+			buf.WriteString(`,"submit_sec":`)
+			appendInt(buf, st.SubmitSec)
+			buf.WriteByte('}')
 		}
 		buf.WriteByte(']')
 	}

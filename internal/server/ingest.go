@@ -4,18 +4,24 @@
 // under heavy load the lock, not the engine, bounds throughput. The
 // lanes amortize it: submissions are staged into per-shard bounded
 // queues (sharded by the submitting user, so one chatty user cannot
-// serialize everyone), each stamped with a global arrival sequence
-// number at enqueue, and a single flusher drains every shard, merges
-// the staged items back into arrival order, and injects the whole
-// batch into the sim.Live session under ONE lock acquisition.
+// serialize everyone), each stamped with a ticket from one global
+// counter, drawn under the shard lock, and a single flusher swaps out
+// every shard's run, merges the runs into ticket order, and injects the
+// whole batch into the sim.Live session under ONE lock acquisition.
 //
 // Ordering contract (what keeps speedup=∞ batch-equivalence
-// byte-identical): the global sequence number fixes a total admission
-// order identical to the order the same caller would have produced
-// with serialized single submits, and the flusher injects strictly in
-// that order. Batching changes only when the lock is taken, never what
-// the engine observes. TestIngestDifferential pins this against
-// sim.Run across machines, policies, modes, and batch sizes.
+// byte-identical): the tickets fix a total admission order in which
+// each caller's items keep their order, exactly as serialized single
+// submits would; interleaving across concurrent callers is by arrival
+// at the counter. The flusher injects strictly in ticket order, because
+// every gathered batch is a prefix of it (see gather). Batching changes
+// only when the lock is taken, never what the engine observes.
+// TestIngestDifferential pins this against sim.Run across machines,
+// policies, modes, and batch sizes.
+//
+// Nothing here allocates per job: items point at the caller's request
+// and result slots, and the shards' runs and the merge buffer are
+// reused across flushes.
 //
 // Backpressure: a full shard fails the item with ErrOverloaded rather
 // than blocking the HTTP handler — the caller sees a per-item error
@@ -25,7 +31,6 @@ package server
 import (
 	"errors"
 	"hash/maphash"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -39,19 +44,27 @@ type SubmitResult struct {
 	Err    error
 }
 
-// submitItem is one staged submission awaiting the flusher.
+// submitItem is one staged submission awaiting the flusher. The
+// pointers reach into the staging caller, which blocks until the item
+// is flushed.
 type submitItem struct {
-	req SubmitRequest
-	seq uint64
-	res *SubmitResult   // result slot, written by the flusher
-	wg  *sync.WaitGroup // request-level completion latch
+	req    *SubmitRequest
+	res    *SubmitResult   // result slot, written by the flusher
+	wg     *sync.WaitGroup // request-level completion latch
+	ticket uint64
 }
 
 // ingestShard is one bounded staging lane.
 type ingestShard struct {
 	mu     sync.Mutex
-	items  []submitItem
+	items  []submitItem // staged, ticket-ascending
 	closed bool
+
+	// run is the flusher's half of the double buffer (guarded by
+	// flushMu, not mu): the items gather last swapped out, with next the
+	// merge's position in them.
+	run  []submitItem
+	next int
 }
 
 // lanes is the sharded ingest front end over one Daemon.
@@ -61,10 +74,10 @@ type lanes struct {
 	bound  int // per-shard queue capacity
 	seed   maphash.Seed
 
-	seq    atomic.Uint64
-	notify chan struct{} // wakes the flusher; capacity 1
-	stop   chan struct{}
-	done   chan struct{}
+	tickets atomic.Uint64
+	notify  chan struct{} // wakes the flusher; capacity 1
+	stop    chan struct{}
+	done    chan struct{}
 
 	// flushMu serializes flushAll between the background flusher and
 	// synchronous callers (Drain, Close, tests). Lock order is always
@@ -115,18 +128,19 @@ func (ln *lanes) shardFor(user string) *ingestShard {
 	return &ln.shards[h%uint64(len(ln.shards))]
 }
 
-// SubmitBatch stages every request, wakes the flusher, and blocks
-// until all of this call's items have been injected (or failed). The
-// returned slice has one result per request, index-aligned. Items keep
-// their relative order; interleaving with other concurrent callers is
-// by arrival at the sequence counter.
-func (ln *lanes) SubmitBatch(reqs []SubmitRequest) []SubmitResult {
-	results := make([]SubmitResult, len(reqs))
+// submit stages every request whose result slot holds no error yet,
+// wakes the flusher, and blocks until all of this call's items have
+// been injected (or failed), writing each outcome into the
+// index-aligned results slot. A slot that already holds an error (an
+// element the caller could not decode) is left alone.
+func (ln *lanes) submit(reqs []SubmitRequest, results []SubmitResult) {
 	var wg sync.WaitGroup
 	staged := 0
 	for i := range reqs {
+		if results[i].Err != nil {
+			continue
+		}
 		sh := ln.shardFor(reqs[i].User)
-		seq := ln.seq.Add(1)
 		sh.mu.Lock()
 		switch {
 		case sh.closed:
@@ -139,7 +153,7 @@ func (ln *lanes) SubmitBatch(reqs []SubmitRequest) []SubmitResult {
 		default:
 			wg.Add(1)
 			sh.items = append(sh.items, submitItem{
-				req: reqs[i], seq: seq, res: &results[i], wg: &wg,
+				req: &reqs[i], res: &results[i], wg: &wg, ticket: ln.tickets.Add(1),
 			})
 			sh.mu.Unlock()
 			staged++
@@ -153,12 +167,11 @@ func (ln *lanes) SubmitBatch(reqs []SubmitRequest) []SubmitResult {
 		}
 		wg.Wait()
 	}
-	return results
 }
 
-// run is the flusher goroutine: woken by SubmitBatch, it drains the
-// lanes until empty, then sleeps again. On stop it performs one final
-// drain so no staged item is ever stranded.
+// run is the flusher goroutine: woken by submit, it drains the lanes
+// until empty, then sleeps again. On stop it performs one final drain
+// so no staged item is ever stranded.
 func (ln *lanes) run() {
 	defer close(ln.done)
 	for {
@@ -173,9 +186,9 @@ func (ln *lanes) run() {
 }
 
 // flushAll drains every shard and injects the merged batch into the
-// engine in sequence order, repeating until the lanes are empty. Safe
-// for concurrent use (flushMu); callers needing "everything staged so
-// far is in the engine" call it directly.
+// engine in ticket order, repeating until the lanes are empty. Safe for
+// concurrent use (flushMu); callers needing "everything staged so far
+// is in the engine" call it directly.
 func (ln *lanes) flushAll() {
 	ln.flushMu.Lock()
 	defer ln.flushMu.Unlock()
@@ -188,22 +201,43 @@ func (ln *lanes) flushAll() {
 	}
 }
 
-// gather swaps out every shard's staged items and merges them into
-// arrival order. Per-shard slices are already seq-ascending (appends
-// under the shard lock), so the sort is a near-sorted merge.
+// gather swaps out every shard's staged run and merges the runs into
+// ticket order. Callers hold flushMu.
+//
+// Every shard is locked at once for the swap, so the batch is exactly
+// the set of items staged at one instant. Tickets are drawn under the
+// shard lock, so each run is ticket-ascending, and every item staged
+// later draws a larger ticket than any in the batch: batches are
+// consecutive prefixes of the ticket order, and injecting them in turn
+// admits every item in ticket order. A stager holds one shard lock at
+// a time, so taking them all cannot deadlock.
 func (ln *lanes) gather() []submitItem {
-	batch := ln.scratch[:0]
+	for i := range ln.shards {
+		ln.shards[i].mu.Lock()
+	}
 	for i := range ln.shards {
 		sh := &ln.shards[i]
-		sh.mu.Lock()
-		batch = append(batch, sh.items...)
-		sh.items = sh.items[:0]
-		sh.mu.Unlock()
+		sh.run, sh.items, sh.next = sh.items, sh.run[:0], 0
 	}
-	ln.scratch = batch[:0] // keep the backing array for reuse
-	if len(batch) > 1 {
-		sort.Slice(batch, func(i, j int) bool { return batch[i].seq < batch[j].seq })
+	for i := range ln.shards {
+		ln.shards[i].mu.Unlock()
 	}
+	batch := ln.scratch[:0]
+	for {
+		var head *ingestShard // the shard whose next item has the least ticket
+		for i := range ln.shards {
+			sh := &ln.shards[i]
+			if sh.next < len(sh.run) && (head == nil || sh.run[sh.next].ticket < head.run[head.next].ticket) {
+				head = sh
+			}
+		}
+		if head == nil {
+			break
+		}
+		batch = append(batch, head.run[head.next])
+		head.next++
+	}
+	ln.scratch = batch
 	return batch
 }
 
@@ -211,10 +245,13 @@ func (ln *lanes) gather() []submitItem {
 // acquisition and releases every waiter.
 func (ln *lanes) flush(batch []submitItem) {
 	d := ln.d
+	// PredictedStartSec points into one array per flush, not one
+	// allocation per job.
+	predicted := make([]int64, len(batch))
 	d.mu.Lock()
 	for i := range batch {
 		it := &batch[i]
-		it.res.Status, it.res.Err = d.submitLocked(it.req)
+		it.res.Status, it.res.Err = d.submitLocked(it.req, &predicted[i])
 	}
 	d.mu.Unlock()
 	ln.flushes.Add(1)

@@ -311,3 +311,105 @@ func TestIngestConcurrentMixed(t *testing.T) {
 			s.Finished, s.Killed, s.Cancelled, got, want)
 	}
 }
+
+// TestGatherMergesTicketOrder: gather merges hand-built shard runs whose
+// tickets interleave into one ticket-ordered batch, and leaves the
+// shards empty for the next round.
+func TestGatherMergesTicketOrder(t *testing.T) {
+	ln := &lanes{shards: make([]ingestShard, 4)}
+	runs := [][]uint64{{2, 3, 9}, {1, 7}, {}, {4, 5, 6, 8, 10}}
+	for i, run := range runs {
+		for _, ticket := range run {
+			ln.shards[i].items = append(ln.shards[i].items, submitItem{ticket: ticket})
+		}
+	}
+	batch := ln.gather()
+	if len(batch) != 10 {
+		t.Fatalf("gathered %d items, want 10", len(batch))
+	}
+	for i, it := range batch {
+		if it.ticket != uint64(i+1) {
+			t.Fatalf("batch[%d] has ticket %d, want %d", i, it.ticket, i+1)
+		}
+	}
+	if again := ln.gather(); len(again) != 0 {
+		t.Fatalf("second gather returned %d items, want 0", len(again))
+	}
+}
+
+// TestIngestConcurrentTicketOrder: with 1 and 4 shards, 8 goroutines
+// post batches through the HTTP handler at once. The admitted IDs must
+// be exactly 1..N, and each poster's jobs must get increasing IDs in the
+// order it sent them — the ticket order the flusher injects in.
+func TestIngestConcurrentTicketOrder(t *testing.T) {
+	const (
+		posters  = 8
+		batches  = 6
+		perBatch = 17
+	)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			d, err := New(Config{
+				Machine:      machine.NewFlat(100),
+				Scheduler:    sched.NewEASY(),
+				Speedup:      math.Inf(1),
+				IngestShards: shards,
+				Logger:       quietLogger(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { d.Close() })
+			api := NewAPI(d)
+			api.SetRequestLogging(false)
+
+			ids := make([][]int, posters)
+			var wg sync.WaitGroup
+			for p := 0; p < posters; p++ {
+				wg.Add(1)
+				go func(p int) {
+					defer wg.Done()
+					for b := 0; b < batches; b++ {
+						elems := make([]string, perBatch)
+						for i := range elems {
+							elems[i] = fmt.Sprintf(`{"user":"u%d","nodes":%d,"walltime_sec":60}`,
+								(p+i)%5, 1+i%4)
+						}
+						rec := httptest.NewRecorder()
+						api.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs",
+							strings.NewReader("["+strings.Join(elems, ",")+"]")))
+						var br batchResponse
+						if err := json.Unmarshal(rec.Body.Bytes(), &br); err != nil || br.Accepted != perBatch {
+							t.Errorf("poster %d batch %d: %d %s", p, b, rec.Code, rec.Body)
+							return
+						}
+						for _, r := range br.Results {
+							ids[p] = append(ids[p], r.ID)
+						}
+					}
+				}(p)
+			}
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+
+			const n = posters * batches * perBatch
+			seen := make([]bool, n+1)
+			for p, got := range ids {
+				for i, id := range got {
+					if id < 1 || id > n || seen[id] {
+						t.Fatalf("poster %d: ID %d outside 1..%d or issued twice", p, id, n)
+					}
+					seen[id] = true
+					if i > 0 && id <= got[i-1] {
+						t.Fatalf("poster %d: job %d got ID %d after ID %d", p, i, id, got[i-1])
+					}
+				}
+			}
+			if s := d.Stats(); s.Accepted != n {
+				t.Fatalf("accepted %d, want %d", s.Accepted, n)
+			}
+		})
+	}
+}

@@ -33,7 +33,12 @@ var ErrRejected = errors.New("sim: job can never fit the machine")
 // use; callers (the daemon) serialize access.
 type Live struct {
 	e    *engine
-	jobs map[int]*job.Job // accepted jobs by ID (the engine's clones)
+	jobs job.IDTable[*job.Job] // accepted jobs by ID, pointing into slab
+
+	// slab holds the engine's copies of the accepted jobs in submission
+	// order, liveChunk to a chunk. A chunk is never reallocated, so the
+	// pointers the engine and the ID table hold stay valid.
+	slab [][]job.Job
 
 	lastSubmit units.Time
 	haveAny    bool
@@ -55,7 +60,7 @@ type Live struct {
 // Called synchronously from inside the event loop (so under whatever
 // lock serializes the session); implementations must be fast and must
 // not call back into the session. The job pointer is the engine's live
-// clone — read the fields needed and return, do not retain it.
+// copy — read the fields needed and return, do not retain it.
 type Notify func(t units.Time, j *job.Job, s job.State)
 
 // SetNotify installs a transition observer on the session: every
@@ -79,27 +84,45 @@ func NewLive(cfg Config, lean bool) (*Live, error) {
 	if lean {
 		e.collector.SetLean(leanRetention)
 	}
-	return &Live{e: e, jobs: make(map[int]*job.Job)}, nil
+	return &Live{e: e}, nil
 }
 
-// Submit accepts a job into the session. The job is cloned; the
-// caller's copy is not mutated. It must carry a unique positive ID and
-// a submit time no earlier than the last submission's and no earlier
-// than the last processed instant — the nondecreasing-submit contract
-// every trace source already obeys. Submit advances the engine through
-// every instant strictly before the job's submit time (so the arrival
-// lands in the event queue before its own instant is drained, exactly as
-// RunStream injects), then enqueues the arrival; the instant itself is
-// processed by a later Submit, AdvanceTo, or Drain.
+// liveChunk is the slab's chunk size in jobs.
+const liveChunk = 1024
+
+// keep copies an admitted job into the slab and returns the copy.
+func (l *Live) keep(src *job.Job) *job.Job {
+	last := len(l.slab) - 1
+	if last < 0 || len(l.slab[last]) == liveChunk {
+		l.slab = append(l.slab, make([]job.Job, 0, liveChunk))
+		last++
+	}
+	l.slab[last] = append(l.slab[last], *src)
+	return &l.slab[last][len(l.slab[last])-1]
+}
+
+// Submit accepts a job into the session. The job is copied once it is
+// admitted; the caller's copy is not mutated. It must carry a unique ID
+// in 1..job.MaxID and a submit time no earlier than the last
+// submission's and no earlier than the last processed instant — the
+// nondecreasing-submit contract every trace source already obeys.
+// Submit advances the engine through every instant strictly before the
+// job's submit time (so the arrival lands in the event queue before its
+// own instant is drained, exactly as RunStream injects), then enqueues
+// the arrival; the instant itself is processed by a later Submit,
+// AdvanceTo, or Drain.
 //
-// The returned job is the engine's live clone: its State/Start/End
+// The returned job is the engine's live copy: its State/Start/End
 // fields update as the session progresses. ErrRejected reports a
 // request that can never fit the machine.
 func (l *Live) Submit(src *job.Job) (*job.Job, error) {
 	if err := src.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: submitted job: %w", err)
 	}
-	if _, dup := l.jobs[src.ID]; dup {
+	if src.ID > job.MaxID {
+		return nil, fmt.Errorf("sim: job ID %d above %d", src.ID, job.MaxID)
+	}
+	if l.jobs.Get(src.ID) != nil {
 		return nil, fmt.Errorf("sim: duplicate job ID %d", src.ID)
 	}
 	if l.haveAny && src.Submit < l.lastSubmit {
@@ -110,23 +133,23 @@ func (l *Live) Submit(src *job.Job) (*job.Job, error) {
 		return nil, fmt.Errorf("sim: job %d submits at %v, before the processed horizon %v",
 			src.ID, src.Submit, l.e.now)
 	}
-	j := src.Clone()
-	j.State = job.Submitted
-	if !l.e.machine.CanFitEver(j.Nodes) {
+	if !l.e.machine.CanFitEver(src.Nodes) {
 		l.rejected++
 		return nil, ErrRejected
 	}
-	if err := l.advance(j.Submit, false); err != nil {
+	if err := l.advance(src.Submit, false); err != nil {
 		return nil, err
 	}
 	if l.e.events.Len() == 0 {
 		// First submission ever, or the first after a Drain wound the
 		// grids down: anchor the grids at this submission, as the batch
 		// engine does at its first accepted job.
-		l.e.anchorGrids(j.Submit)
+		l.e.anchorGrids(src.Submit)
 	}
+	j := l.keep(src)
+	j.State = job.Submitted
 	l.e.events.PushArrival(j)
-	l.jobs[j.ID] = j
+	l.jobs.Set(j.ID, j)
 	l.lastSubmit, l.haveAny = j.Submit, true
 	l.accepted++
 	return j, nil
@@ -137,8 +160,8 @@ func (l *Live) Submit(src *job.Job) (*job.Job, error) {
 // jobs cannot be cancelled). A job cancelled between submission and its
 // arrival instant never enters the queue at all.
 func (l *Live) Cancel(id int) bool {
-	j, ok := l.jobs[id]
-	if !ok {
+	j := l.jobs.Get(id)
+	if j == nil {
 		return false
 	}
 	switch j.State {
@@ -210,10 +233,20 @@ func (l *Live) Drain() error {
 func (l *Live) Now() units.Time { return l.e.now }
 
 // Job looks up an accepted job by ID. The returned job is the engine's
-// live clone; treat it as read-only.
+// live copy; treat it as read-only.
 func (l *Live) Job(id int) (*job.Job, bool) {
-	j, ok := l.jobs[id]
-	return j, ok
+	j := l.jobs.Get(id)
+	return j, j != nil
+}
+
+// Each calls fn on every accepted job in submission order. The jobs are
+// the engine's live copies; treat them as read-only.
+func (l *Live) Each(fn func(j *job.Job)) {
+	for _, chunk := range l.slab {
+		for i := range chunk {
+			fn(&chunk[i])
+		}
+	}
 }
 
 // Queue returns the waiting jobs in arrival order as a fresh copy.
@@ -265,8 +298,8 @@ func (l *Live) WhatIfStatus() (whatif.Status, bool) {
 // "predicted start" the job API reports next to the actual one. ok is
 // false for unknown or cancelled jobs.
 func (l *Live) PredictStart(id int) (units.Time, bool) {
-	j, ok := l.jobs[id]
-	if !ok {
+	j := l.jobs.Get(id)
+	if j == nil {
 		return 0, false
 	}
 	switch j.State {
@@ -286,15 +319,6 @@ func (l *Live) PredictStart(id int) (units.Time, bool) {
 		ts = j.Submit
 	}
 	return ts, true
-}
-
-// States tallies the session's accepted jobs by their current state.
-func (l *Live) States() map[job.State]int {
-	out := make(map[job.State]int, 6)
-	for _, j := range l.jobs {
-		out[j.State]++
-	}
-	return out
 }
 
 // Accepted, Rejected, and Cancelled report the session's job census.
