@@ -99,8 +99,9 @@ benchmark:
 
 # profile captures CPU and heap profiles of the at-scale simulation
 # (cpu.prof, mem.prof), of the fairness oracle on the Table II month
-# (fair-cpu.prof, fair-mem.prof), of the event-mode what-if tuner
-# (whatif-cpu.prof, whatif-mem.prof), of the daemon's in-process
+# (fair-cpu.prof, fair-mem.prof), of the what-if tuner on the Intrepid
+# month, the whatif-stream configuration (whatif-cpu.prof,
+# whatif-mem.prof), of the daemon's in-process
 # submit-to-drain cycle (daemon-cpu.prof, daemon-mem.prof) and of its
 # HTTP batch admission path (batch-cpu.prof, batch-mem.prof) for pprof,
 # e.g. `go tool pprof -top fair-cpu.prof`.
@@ -109,7 +110,7 @@ profile:
 		-cpuprofile cpu.prof -memprofile mem.prof .
 	$(GO) test -timeout 10m -run '^$$' -bench 'FairPeriodic' -benchtime 10x \
 		-cpuprofile fair-cpu.prof -memprofile fair-mem.prof .
-	$(GO) test -timeout 10m -run '^$$' -bench 'SimWhatIf/whatif/event' -benchtime 100x \
+	$(GO) test -timeout 10m -run '^$$' -bench 'SimWhatIfMonth' -benchtime 10x \
 		-cpuprofile whatif-cpu.prof -memprofile whatif-mem.prof .
 	$(GO) test -timeout 10m -run '^$$' -bench 'DaemonCycle' -benchtime 10x \
 		-cpuprofile daemon-cpu.prof -memprofile daemon-mem.prof ./internal/server

@@ -108,6 +108,15 @@ type MetricAware struct {
 	// verifyCount and the report itself are excluded: no scheduling
 	// decision ever reads them, and Schedule overwrites the report at
 	// entry.
+	//
+	// Untuned: true on the three paths that return before the ranking —
+	// the empty queue, the no-fit fast path and the no-op exit after
+	// the reservation re-commit. None of them reads BF or W, so every
+	// clone differing only in those takes the same path from the same
+	// state. Conservative passes never claim it: no Tuner wraps a
+	// conservative policy, so the claim would have no reader, and the
+	// what-if prefix sharing that reads it stays confined to the
+	// one-reservation regime.
 	last sched.PassReport
 
 	// scorers ranks the queue when non-nil (NewMultiMetric); nil means
@@ -224,6 +233,7 @@ func (s *MetricAware) Schedule(env sched.Env) {
 	defer func() { s.last.Mutated = s.reservedID != entryReserved }()
 	queue := env.Queue()
 	if len(queue) == 0 {
+		s.last.Untuned = !s.Conservative
 		return
 	}
 	now := env.Now()
@@ -242,7 +252,8 @@ func (s *MetricAware) Schedule(env sched.Env) {
 	// pass-local plan, and with nothing startable every window takes
 	// the backfill skip. On a saturated machine — most passes of a
 	// nested fairness run — this reduces a pass to one integer compare
-	// per queued job.
+	// per queued job. It reads neither BF nor W, so an EASY pass that
+	// takes it is reported Untuned.
 	if s.Conservative || s.reservedID != 0 {
 		idle := env.Machine().IdleNodes()
 		fits, held := false, false
@@ -263,39 +274,12 @@ func (s *MetricAware) Schedule(env sched.Env) {
 			// on the reserved job still being queued — the only job
 			// whose presence the horizon must pin.
 			s.last.Horizon = heldSubmit
+			s.last.Untuned = !s.Conservative
 			return
 		}
 	}
 
-	scorers := s.scorers
-	if scorers == nil {
-		bf := balanced(s.BF)
-		scorers = bf[:]
-	}
-	if s.Conservative && !clockFreeRanking(scorers) {
-		// Conservative reservations are rebuilt every pass in priority
-		// order, so a ranking the clock alone reorders can move a job
-		// ahead of the reservation that blocked it and start it later
-		// on unchanged state.
-		s.last.Quiescent = false
-	}
-	if s.prio == nil {
-		s.prio = &prioScratch{}
-	}
-	sorted := s.prio.prioritize(now, queue, scorers)
-	aggHorizon := s.prio.aggHorizon
-	if paranoid {
-		// The order is repaired from the last pass's; paranoid runs
-		// audit it against a fresh sort.
-		if fresh := MultiPrioritize(now, queue, scorers); !slices.Equal(sorted, fresh) {
-			panic(fmt.Sprintf("core: repaired queue order diverged from a fresh sort at %v", now))
-		}
-	}
 	plan := env.Machine().Plan(now)
-	w := s.W
-	if w < 1 {
-		w = 1
-	}
 
 	// Re-commit the persistent protected reservation first, so nothing
 	// scheduled this pass can delay it. The fresh earliest start can
@@ -340,6 +324,46 @@ func (s *MetricAware) Schedule(env sched.Env) {
 			s.reservedID = 0
 		}
 	}
+
+	// No-op exit: with the protection held and no queued job startable
+	// against the plan, every window below would take the backfill skip
+	// (nothing fits now, and the one reservation is already placed), so
+	// the pass starts nothing and moves no state. Returning before the
+	// ranking makes it one plan probe per job that fits the idle count.
+	if reserved && !s.Conservative && startableNow(env, plan, queue, 1) == 0 {
+		s.last.Untuned = true
+		recyclePlan(env.Machine(), plan)
+		return
+	}
+
+	scorers := s.scorers
+	if scorers == nil {
+		bf := balanced(s.BF)
+		scorers = bf[:]
+	}
+	if s.Conservative && !clockFreeRanking(scorers) {
+		// Conservative reservations are rebuilt every pass in priority
+		// order, so a ranking the clock alone reorders can move a job
+		// ahead of the reservation that blocked it and start it later
+		// on unchanged state.
+		s.last.Quiescent = false
+	}
+	if s.prio == nil {
+		s.prio = &prioScratch{}
+	}
+	sorted := s.prio.prioritize(now, queue, scorers)
+	aggHorizon := s.prio.aggHorizon
+	if paranoid {
+		// The order is repaired from the last pass's; paranoid runs
+		// audit it against a fresh sort.
+		if fresh := MultiPrioritize(now, queue, scorers); !slices.Equal(sorted, fresh) {
+			panic(fmt.Sprintf("core: repaired queue order diverged from a fresh sort at %v", now))
+		}
+	}
+	w := s.W
+	if w < 1 {
+		w = 1
+	}
 	for pos := 0; pos < len(sorted); pos += w {
 		end := pos + w
 		if end > len(sorted) {
@@ -347,7 +371,7 @@ func (s *MetricAware) Schedule(env sched.Env) {
 		}
 		window := sorted[pos:end]
 
-		startable := windowStartableNow(env, plan, window)
+		startable := startableNow(env, plan, window, 2)
 		if reserved && !s.Conservative && startable == 0 {
 			// Backfill regime: without reservations to place, a window
 			// in which nothing fits now cannot contribute.
@@ -448,9 +472,7 @@ func (s *MetricAware) Schedule(env sched.Env) {
 	}
 
 	s.blockedBuf = blocked[:0]
-	if r, ok := env.Machine().(machine.PlanRecycler); ok {
-		r.Recycle(plan)
-	}
+	recyclePlan(env.Machine(), plan)
 
 	// Close the pass horizon (sched.PassReport). Windows past the last
 	// acted-on one committed nothing — every job there probed blocked or
@@ -469,6 +491,14 @@ func (s *MetricAware) Schedule(env sched.Env) {
 				s.last.Horizon = j.Submit
 			}
 		}
+	}
+}
+
+// recyclePlan hands a finished pass's plan back to the machine's pool
+// when the machine keeps one (see machine.PlanRecycler).
+func recyclePlan(m machine.Machine, pl machine.Plan) {
+	if r, ok := m.(machine.PlanRecycler); ok {
+		r.Recycle(pl)
 	}
 }
 

@@ -322,3 +322,90 @@ func TestScheduleSafetyProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A pass holding the protected reservation, with a queued job that fits
+// the idle node count but finds no free aligned partition, skips the
+// ranking: it starts nothing, keeps the reservation, and reports
+// Untuned, which the what-if lookahead relies on to share the pass
+// between candidates. The pass that granted the reservation read the
+// ranking and does not.
+func TestHeldReservationNoFitPassIsUntuned(t *testing.T) {
+	m := machine.NewPartition(8, 32)
+	var allocs []machine.Alloc
+	for id := 101; id <= 108; id++ {
+		a, ok := m.TryStart(id, 32, 0, 1000)
+		if !ok {
+			t.Fatalf("filler %d did not start", id)
+		}
+		allocs = append(allocs, a)
+	}
+	for i := 1; i < len(allocs); i += 2 {
+		m.Release(allocs[i], 0) // free every other midplane: 128 idle nodes, no aligned pair
+	}
+	big := schedtest.J(1, 0, 256, 500, 500)
+	env := schedtest.New(m, big)
+	env.T = 10
+	s := NewMetricAware(0.5, 2)
+	s.Schedule(env)
+	if id, _, held := s.ProtectedReservation(); !held || id != big.ID {
+		t.Fatalf("first pass reservation = (%d, %v), want job %d held", id, held, big.ID)
+	}
+	if s.LastPass().Untuned {
+		t.Error("the pass that granted the reservation reports Untuned")
+	}
+
+	pair := schedtest.J(2, 5, 64, 50, 50)
+	env.Waiting = append(env.Waiting, pair)
+	env.T = 20
+	if pair.Nodes > m.IdleNodes() {
+		t.Fatalf("setup: %d-node job exceeds the %d idle nodes", pair.Nodes, m.IdleNodes())
+	}
+	s.Schedule(env)
+	if len(env.Started) != 0 {
+		t.Fatalf("started %v, want none", env.StartedIDs())
+	}
+	rep := s.LastPass()
+	if !rep.Untuned || !rep.Quiescent || rep.Mutated {
+		t.Errorf("report %+v, want Untuned and Quiescent, not Mutated", rep)
+	}
+	if id, _, held := s.ProtectedReservation(); !held || id != big.ID {
+		t.Errorf("reservation after the no-op pass = (%d, %v), want job %d held", id, held, big.ID)
+	}
+}
+
+// Conservative passes never claim Untuned, whichever path they take:
+// the empty queue, the no-fit fast path, or a full pass.
+func TestConservativeNeverUntuned(t *testing.T) {
+	s := NewMetricAware(0.5, 2)
+	s.Conservative = true
+	s.Schedule(schedtest.New(machine.NewFlat(100)))
+	if s.LastPass().Untuned {
+		t.Error("empty-queue conservative pass reports Untuned")
+	}
+	f := func(waiting []uint32, bfRaw, wRaw uint8) bool {
+		if len(waiting) > 30 {
+			waiting = waiting[:30]
+		}
+		m := machine.NewPartition(8, 32)
+		var q []*job.Job
+		for i, spec := range waiting {
+			wall := units.Duration(10 + spec%2000)
+			q = append(q, schedtest.J(i+1, units.Time(spec%100), 1+int(spec)%300, wall, wall/2+1))
+		}
+		env := schedtest.New(m, q...)
+		env.T = 50
+		s := NewMetricAware(float64(bfRaw%5)*0.25, 1+int(wRaw)%5)
+		s.Conservative = true
+		for pass := 0; pass < 3; pass++ { // later passes meet a fuller machine
+			s.Schedule(env)
+			if s.LastPass().Untuned {
+				return false
+			}
+			env.T += 10
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Error(err)
+	}
+}

@@ -17,21 +17,22 @@ import (
 // priority order without search.
 const maxPermWindow = 7
 
-// windowStartableNow counts the window's jobs that can start at this
-// instant under the plan, capped at 2 — callers only distinguish
-// none / exactly one / several. A start can only consume idle nodes,
-// so a request exceeding the idle count is rejected before the (much
-// more expensive) plan probe; when the machine is saturated every job
-// short-circuits and the window costs a handful of integer compares.
-func windowStartableNow(env sched.Env, plan machine.Plan, window []*job.Job) int {
+// startableNow counts the jobs that can start at this instant under
+// the plan, stopping at limit — the window loop only distinguishes
+// none / exactly one / several (limit 2), the no-op exit only none /
+// some (limit 1). A start can only consume idle nodes, so a request
+// exceeding the idle count is rejected before the (much more expensive)
+// plan probe; when the machine is saturated every job short-circuits
+// and the scan costs a handful of integer compares.
+func startableNow(env sched.Env, plan machine.Plan, jobs []*job.Job, limit int) int {
 	idle := env.Machine().IdleNodes()
 	n := 0
-	for _, j := range window {
+	for _, j := range jobs {
 		if j.Nodes > idle {
 			continue
 		}
 		if _, ok := plan.StartableNow(j.Nodes, j.Walltime); ok {
-			if n++; n == 2 {
+			if n++; n == limit {
 				break
 			}
 		}

@@ -166,6 +166,12 @@ func (s Scheme) Validate() error {
 type Tuner struct {
 	base    *MetricAware
 	schemes []Scheme
+
+	// cands are the what-if candidates of the last checkpoint, rebuilt
+	// in place by the next one (see candidate); ncand counts the slots
+	// the current checkpoint has handed out. Clones never share them.
+	cands []*MetricAware
+	ncand int
 }
 
 // NewTuner builds an adaptive scheduler from the schemes. The wrapped
@@ -229,7 +235,7 @@ func (t *Tuner) Clone() sched.Scheduler { return t.CloneInto(nil) }
 
 // CloneInto is Clone into a retired instance (see
 // MetricAware.CloneInto): a *Tuner dst keeps its wrapped policy's
-// scratch buffers and its schemes slice.
+// scratch buffers, its schemes slice and its what-if candidates.
 func (t *Tuner) CloneInto(dst sched.Scheduler) sched.Scheduler {
 	d, ok := dst.(*Tuner)
 	if !ok || d == nil || d == t {
@@ -295,6 +301,7 @@ func (t *Tuner) TuningRules() ([]invariant.TuningRule, bool) {
 func (t *Tuner) Checkpoint(env sched.Env, m sched.MetricsView) {
 	for _, s := range t.schemes {
 		if p, ok := s.Monitor.(*whatif.Planner); ok {
+			t.ncand = 0
 			bf, w, commit := p.Propose(env, m, t.base.BF, t.base.W, t.candidate)
 			if commit {
 				t.base.BF = bf

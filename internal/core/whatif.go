@@ -26,13 +26,20 @@ func WhatIf(p *whatif.Planner) Scheme {
 	}
 }
 
-// candidate builds an independent scheduler configured with candidate
-// tunables for what-if rollouts: a clone of the wrapped policy —
-// reservation state preserved, scratch buffers fresh — with (BF, W)
-// overridden. Each rollout runs a copy of its candidate inside a
-// private engine fork.
+// candidate builds a scheduler configured with candidate tunables for
+// what-if rollouts: a copy of the wrapped policy — reservation state
+// preserved — with (BF, W) overridden. The copy is rebuilt in place, in
+// the slot the previous checkpoint's candidate of the same rank held,
+// so a warm checkpoint allocates nothing; that is sound because the
+// engine runs its own clone of each candidate inside a private fork and
+// keeps none of them past Lookahead.
 func (t *Tuner) candidate(bf float64, w int) sched.Scheduler {
-	c := t.base.Clone().(*MetricAware)
+	if t.ncand == len(t.cands) {
+		t.cands = append(t.cands, nil)
+	}
+	c := t.base.CloneInto(t.cands[t.ncand]).(*MetricAware)
+	t.cands[t.ncand] = c
+	t.ncand++
 	c.BF = bf
 	c.W = w
 	return c

@@ -52,6 +52,15 @@ type Rollout struct {
 	// horizon; TotalNodes scales it to a fraction.
 	UtilNodeSec float64
 	TotalNodes  int
+
+	// Passes counts the scheduling passes the rollout executed itself,
+	// and Shared reports that it reused at least one pass of the
+	// incumbent's rollout (candidate zero) instead: the environment ran
+	// the candidates' common untuned prefix once (see
+	// PassReport.Untuned). Both are accounting, not outcome — a shared
+	// rollout's other fields are bit-identical to an unshared one's.
+	Passes int
+	Shared bool
 }
 
 // AvgWaitMinutes is the mean wait of the fork-queued population, in
@@ -89,17 +98,20 @@ func (r Rollout) Utilization() float64 {
 // in input order. The simulation engine implements it; the what-if
 // planner consumes it at checkpoints.
 //
-// The candidates are consumed: each one is run (and mutated) inside its
-// own fork and must not be reused by the caller afterwards. The forks
-// are closed worlds — no arrivals beyond those already queued — and
-// must leave the environment's observable state untouched. workers
-// bounds the fan-out (<= 1 runs serially); budget, when positive, is a
-// wall-clock cap after which remaining candidates are skipped and
-// returned invalid — except the first candidate, which always runs, so
-// a caller that puts the incumbent configuration first always has a
-// baseline to compare against. ok is false when the environment cannot
-// fork (a nested simulation, an empty candidate list, a non-positive
-// horizon).
+// The candidates must differ from the first only in their tunables:
+// the environment may run once, for all of them, the prefix of passes
+// the first candidate reports Untuned. Each rollout runs a copy of its
+// candidate inside its own fork, and the environment keeps no candidate
+// past the call, so the caller may rebuild them in place for the next
+// one. The forks are closed worlds — no arrivals beyond those already
+// queued — and must leave the environment's observable state
+// untouched. workers bounds the fan-out (<= 1 runs serially); budget,
+// when positive, is a wall-clock cap after which remaining candidates
+// are skipped and returned invalid — except the first candidate, which
+// always runs, so a caller that puts the incumbent configuration first
+// always has a baseline to compare against. ok is false when the
+// environment cannot fork (a nested simulation, an empty candidate
+// list, a non-positive horizon).
 type Lookaheader interface {
 	Lookahead(cands []Scheduler, horizon units.Duration, workers int, budget time.Duration) ([]Rollout, bool)
 }

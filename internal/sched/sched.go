@@ -169,6 +169,18 @@ type PassReport struct {
 	// state untouched. Schedulers that cannot make the distinction
 	// report true, and the deferred worlds resolve conservatively.
 	Mutated bool
+
+	// Untuned claims the pass reached its outcome without reading a
+	// tunable (the metric-aware policy's BF and W): a clone that differs
+	// from this scheduler only in its tunables, run from the same
+	// machine, queue and scheduler state, would have made the identical
+	// pass. The what-if lookahead (internal/sim) relies on it to run the
+	// untuned prefix of its candidates' rollouts once, on the incumbent,
+	// and fork the other candidates from the first pass that is tuned or
+	// starts a job. The claim is a property of the pass's code path, not
+	// of the clock or the runtime view, so it needs no further premise.
+	// Schedulers that cannot make it leave it false.
+	Untuned bool
 }
 
 // recyclePlan hands a finished pass's plan back to the machine's pool

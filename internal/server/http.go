@@ -522,6 +522,10 @@ func (a *API) metrics(w http.ResponseWriter, r *http.Request) {
 			"What-if decisions committed to the live tunables.", ws.Commits)
 		writeCounter(w, "amjsd_whatif_skipped_total",
 			"What-if ticks skipped (empty queue, no capability, or no valid rollout).", ws.Skipped)
+		writeCounter(w, "amjsd_whatif_rollout_passes_total",
+			"Scheduling passes executed inside what-if rollouts.", ws.RolloutPasses)
+		writeCounter(w, "amjsd_whatif_rollouts_shared_total",
+			"What-if rollouts answered wholly or partly from the incumbent's.", ws.RolloutsShared)
 		writeGauges(w, []gauge{{"amjsd_whatif_last_objective_delta",
 			"Objective improvement of the last evaluated tick (incumbent minus best).",
 			ws.LastDelta}})

@@ -572,6 +572,8 @@ func TestTunerEndpoint(t *testing.T) {
 		"amjsd_whatif_candidates_evaluated_total",
 		"amjsd_whatif_commits_total",
 		"amjsd_whatif_skipped_total",
+		"amjsd_whatif_rollout_passes_total",
+		"amjsd_whatif_rollouts_shared_total",
 		"amjsd_whatif_last_objective_delta",
 		"# TYPE amjsd_whatif_rollout_seconds histogram",
 		`amjsd_whatif_rollout_seconds_bucket{le="+Inf"}`,

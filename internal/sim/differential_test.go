@@ -302,10 +302,11 @@ func compareWhatIf(t *testing.T, label string, got, want *whatif.Status) {
 		return
 	}
 	if got.Ticks != want.Ticks || got.Evaluated != want.Evaluated ||
-		got.Commits != want.Commits || got.Skipped != want.Skipped {
-		t.Errorf("%s what-if counters ticks=%d eval=%d commits=%d skips=%d, batch ticks=%d eval=%d commits=%d skips=%d",
-			label, got.Ticks, got.Evaluated, got.Commits, got.Skipped,
-			want.Ticks, want.Evaluated, want.Commits, want.Skipped)
+		got.Commits != want.Commits || got.Skipped != want.Skipped ||
+		got.RolloutPasses != want.RolloutPasses || got.RolloutsShared != want.RolloutsShared {
+		t.Errorf("%s what-if counters ticks=%d eval=%d commits=%d skips=%d passes=%d shared=%d, batch ticks=%d eval=%d commits=%d skips=%d passes=%d shared=%d",
+			label, got.Ticks, got.Evaluated, got.Commits, got.Skipped, got.RolloutPasses, got.RolloutsShared,
+			want.Ticks, want.Evaluated, want.Commits, want.Skipped, want.RolloutPasses, want.RolloutsShared)
 	}
 	if len(got.Decisions) != len(want.Decisions) {
 		t.Errorf("%s what-if logged %d decisions, batch %d", label, len(got.Decisions), len(want.Decisions))

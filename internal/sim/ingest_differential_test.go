@@ -180,10 +180,11 @@ func TestIngestDifferential(t *testing.T) {
 						}
 						got, exp := ts.WhatIf, want.WhatIf
 						if got.Ticks != exp.Ticks || got.Evaluated != exp.Evaluated ||
-							got.Commits != exp.Commits || got.Skipped != exp.Skipped {
-							t.Errorf("daemon what-if counters ticks=%d eval=%d commits=%d skips=%d, batch ticks=%d eval=%d commits=%d skips=%d",
-								got.Ticks, got.Evaluated, got.Commits, got.Skipped,
-								exp.Ticks, exp.Evaluated, exp.Commits, exp.Skipped)
+							got.Commits != exp.Commits || got.Skipped != exp.Skipped ||
+							got.RolloutPasses != exp.RolloutPasses || got.RolloutsShared != exp.RolloutsShared {
+							t.Errorf("daemon what-if counters ticks=%d eval=%d commits=%d skips=%d passes=%d shared=%d, batch ticks=%d eval=%d commits=%d skips=%d passes=%d shared=%d",
+								got.Ticks, got.Evaluated, got.Commits, got.Skipped, got.RolloutPasses, got.RolloutsShared,
+								exp.Ticks, exp.Evaluated, exp.Commits, exp.Skipped, exp.RolloutPasses, exp.RolloutsShared)
 						}
 						if len(got.Decisions) != len(exp.Decisions) {
 							t.Fatalf("daemon logged %d decisions, batch %d",

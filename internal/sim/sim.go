@@ -301,11 +301,13 @@ type engine struct {
 	arrived  []*job.Job // jobs that arrived at the current instant
 	orderBuf []*job.Job // the running set, for checkInvariants
 
-	// What-if lookahead scratch (see whatif.go): one private world per
-	// candidate slot, reused across checkpoints, plus the rollout
-	// result buffer handed to the planner.
-	laWorlds []world
-	laOut    []sched.Rollout
+	// passes counts the scheduling passes executed (not elided) since
+	// the engine was built or, for a world's engine, forked; a what-if
+	// rollout reports its world's count (sched.Rollout.Passes).
+	passes int
+
+	// la is the what-if lookahead scratch (see whatif.go).
+	la lookahead
 }
 
 // newEngine builds a top-level engine for cfg: validation, defaults,
@@ -530,6 +532,7 @@ func (e *engine) step() (bool, error) {
 			e.fair.beginPass()
 			e.scheduler.Schedule(e)
 			ran = true
+			e.passes++
 			e.fair.endPass(checkpoint)
 			e.lastQuiet = passReport(e.scheduler).Quiescent
 		}

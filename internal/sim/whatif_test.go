@@ -3,7 +3,9 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"amjs/internal/core"
 	"amjs/internal/job"
@@ -11,6 +13,7 @@ import (
 	"amjs/internal/sched"
 	"amjs/internal/units"
 	"amjs/internal/whatif"
+	"amjs/internal/workload"
 )
 
 // testPlanner is the suite's standard what-if configuration: a small
@@ -269,5 +272,112 @@ func TestLookaheadReadsQueueOnce(t *testing.T) {
 		if want := 1 + queued - id; out[0].LeftQueued != want {
 			t.Fatalf("rollout saw %d queued jobs after cancelling job %d, want %d", out[0].LeftQueued, id, want)
 		}
+	}
+}
+
+// untunedLie wraps a what-if candidate so that it reports every pass
+// Untuned, whether or not the pass read a tunable.
+type untunedLie struct{ s *core.MetricAware }
+
+func (u untunedLie) Name() string           { return u.s.Name() }
+func (u untunedLie) Schedule(env sched.Env) { u.s.Schedule(env) }
+func (u untunedLie) Clone() sched.Scheduler { return untunedLie{u.s.Clone().(*core.MetricAware)} }
+func (u untunedLie) LastPass() sched.PassReport {
+	r := u.s.LastPass()
+	r.Untuned = true
+	return r
+}
+
+// lyingEnv hands the engine's Lookahead its candidates wrapped in
+// untunedLie.
+type lyingEnv struct{ *engine }
+
+func (l lyingEnv) Lookahead(cands []sched.Scheduler, horizon units.Duration, workers int, budget time.Duration) ([]sched.Rollout, bool) {
+	lies := make([]sched.Scheduler, len(cands))
+	for i, c := range cands {
+		lies[i] = untunedLie{c.(*core.MetricAware)}
+	}
+	return l.engine.Lookahead(lies, horizon, workers, budget)
+}
+
+// lyingTuner is a what-if Tuner whose checkpoints see lyingEnv.
+type lyingTuner struct{ *core.Tuner }
+
+func (l lyingTuner) Checkpoint(env sched.Env, m sched.MetricsView) {
+	l.Tuner.Checkpoint(lyingEnv{env.(*engine)}, m)
+}
+func (l lyingTuner) Clone() sched.Scheduler { return lyingTuner{l.Tuner.Clone().(*core.Tuner)} }
+
+// TestAlwaysUntunedFailsAudit is the mutation gate of the what-if prefix
+// sharing. Candidates that claim every pass Untuned stretch the shared
+// prefix over passes that read the tunables: with a reservation held,
+// every pass that starts nothing is truly untuned, so the lie shows only
+// where a pass grants the reservation, and a candidate ranking the queue
+// otherwise would have granted it elsewhere and backfilled a job. The
+// Paranoid audit, which rolls every shared candidate out again from the
+// live engine, must catch that on this seeded Intrepid trace and name
+// the tick and the candidate. The honest policy on the same trace is
+// the control: the same audit passes it.
+func TestAlwaysUntunedFailsAudit(t *testing.T) {
+	gen := workload.Intrepid(3)
+	gen.MaxJobs = 800
+	jobs, err := gen.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(s sched.Scheduler) (msg string) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		if _, err := Run(Config{Machine: machine.NewIntrepid(), Scheduler: s,
+			SchedulePeriod: 10 * units.Second, Paranoid: true}, jobs); err != nil {
+			t.Fatal(err)
+		}
+		return ""
+	}
+	planner := func() *whatif.Planner { return whatif.NewPlanner(whatif.Config{}) }
+	if msg := run(core.NewTuner(core.WhatIf(planner()))); msg != "" {
+		t.Fatalf("the audit fails the honest policy: %s", msg)
+	}
+	msg := run(lyingTuner{core.NewTuner(core.WhatIf(planner()))})
+	if msg == "" {
+		t.Fatal("the Paranoid lookahead audit accepted candidates that report every pass Untuned")
+	}
+	if !strings.Contains(msg, "what-if tick at") || !strings.Contains(msg, "candidate") {
+		t.Fatalf("audit panic does not name the tick and the candidate: %s", msg)
+	}
+}
+
+// The rollouts past the shared prefix fan out across workers, each in
+// its own world: a Paranoid run with four workers must reach the same
+// schedule, counters and decision log as a serial one. Under -race this
+// is the test that runs forked rollouts concurrently.
+func TestWhatIfWorkersMatchSerial(t *testing.T) {
+	jobs := diffTrace(t, 11, 120)
+	run := func(workers int) *Result {
+		p := testPlanner(whatif.Config{})
+		p.SetWorkers(workers)
+		res, err := Run(Config{
+			Machine:   machine.NewPartition(8, 64),
+			Scheduler: core.NewTuner(core.WhatIf(p)),
+			Paranoid:  true,
+		}, jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	serial, fanned := run(1), run(4)
+	if scheduleHash(fanned) != scheduleHash(serial) {
+		t.Error("four rollout workers changed the schedule")
+	}
+	compareWhatIf(t, "workers=4", fanned.WhatIf, serial.WhatIf)
+	// A commit means some candidate outscored the incumbent, so its
+	// rollout forked and ran on its own rather than copying the
+	// incumbent's.
+	if serial.WhatIf.Commits == 0 {
+		t.Fatal("no tick forked its candidates: nothing ran in parallel")
 	}
 }

@@ -95,6 +95,7 @@ func (w *world) fork(parent *engine, s sched.Scheduler, queueView []*job.Job, cu
 	sub.lastDelta = false
 	sub.lastQuiet = false
 	sub.processed = 0
+	sub.passes = 0
 
 	wasBegun := func(j *job.Job) bool {
 		for _, pb := range begun {
@@ -171,6 +172,7 @@ func (w *world) armGrids(tickAt, checkAt units.Time, forkPass bool) {
 	if sub.cfg.SchedulePeriod > 0 {
 		sub.events.Push(tickAt, evTick, nil)
 		sub.events.Push(checkAt, evCheckpoint, nil)
+		sub.nextTick, sub.nextCheck = tickAt, checkAt
 	} else if forkPass {
 		sub.events.Push(sub.now, evTick, nil)
 	}

@@ -109,10 +109,12 @@ type Config struct {
 	BFGrid []float64
 	WGrid  []int
 
-	// Workers bounds the rollout fan-out. 0 and 1 both run a tick's
-	// rollouts serially: a tick is about nine rollouts of some 30 µs
-	// each, and one worker per CPU measured 1.25x the jobs/s of the
-	// what-if benchmark for +31 % CPU and +10 % allocation per job.
+	// Workers bounds the fan-out of a tick's rollouts, which follows
+	// the incumbent's untuned prefix (run alone; see
+	// sched.PassReport.Untuned). 0 and 1 both run them serially: a tick
+	// is about nine rollouts of some 30 µs each, and one worker per CPU
+	// measured 1.19x the jobs/s of the what-if benchmark for +24 % CPU
+	// and +14 % allocation per job (2 vCPU, 4 interleaved pairs).
 	// Results are deterministic at any worker count when Budget is zero.
 	Workers int
 
@@ -200,15 +202,23 @@ type HistBucket struct {
 // Status is a point-in-time snapshot of a planner's activity, shaped
 // for the daemon's /v1/tuner endpoint and the Prometheus exposition.
 type Status struct {
-	Objective  string       `json:"objective"`
-	HorizonSec int64        `json:"horizon_sec"`
-	BudgetNS   int64        `json:"budget_ns"`
-	Observe    bool         `json:"observe"`
-	Ticks      uint64       `json:"ticks"`
-	Evaluated  uint64       `json:"candidates_evaluated"`
-	Commits    uint64       `json:"commits"`
-	Skipped    uint64       `json:"skipped"`
-	LastDelta  float64      `json:"last_objective_delta"`
+	Objective  string  `json:"objective"`
+	HorizonSec int64   `json:"horizon_sec"`
+	BudgetNS   int64   `json:"budget_ns"`
+	Observe    bool    `json:"observe"`
+	Ticks      uint64  `json:"ticks"`
+	Evaluated  uint64  `json:"candidates_evaluated"`
+	Commits    uint64  `json:"commits"`
+	Skipped    uint64  `json:"skipped"`
+	LastDelta  float64 `json:"last_objective_delta"`
+
+	// RolloutPasses counts the scheduling passes executed inside
+	// rollouts; RolloutsShared counts the rollouts answered wholly or
+	// partly from the incumbent's (see sched.Rollout.Shared). Both are
+	// exact and deterministic when Budget is zero.
+	RolloutPasses  uint64 `json:"rollout_passes"`
+	RolloutsShared uint64 `json:"rollouts_shared"`
+
 	LatCount   uint64       `json:"rollout_ticks"`
 	LatSumSec  float64      `json:"rollout_seconds_sum"`
 	LatBuckets []HistBucket `json:"rollout_seconds_buckets"`
@@ -245,6 +255,8 @@ type Planner struct {
 	evals     uint64
 	commits   uint64
 	skips     uint64
+	passes    uint64
+	shared    uint64
 	lastDelta float64
 
 	decisions []Decision // ring of cfg.LogCap, oldest at dhead
@@ -343,6 +355,10 @@ func (p *Planner) Propose(env sched.Env, _ sched.MetricsView, bf float64, w int,
 	incValid := false
 	valid := 0
 	for i, r := range rollouts {
+		p.passes += uint64(r.Passes)
+		if r.Shared {
+			p.shared++
+		}
 		if !r.Valid {
 			continue
 		}
@@ -445,9 +461,12 @@ func (p *Planner) Status() Status {
 		Commits:    p.commits,
 		Skipped:    p.skips,
 		LastDelta:  p.lastDelta,
-		LatCount:   p.latCount,
-		LatSumSec:  p.latSum.Seconds(),
-		Decisions:  p.Decisions(),
+
+		RolloutPasses:  p.passes,
+		RolloutsShared: p.shared,
+		LatCount:       p.latCount,
+		LatSumSec:      p.latSum.Seconds(),
+		Decisions:      p.Decisions(),
 	}
 	cum := uint64(0)
 	for i, le := range latBounds {
