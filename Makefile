@@ -38,7 +38,7 @@ vet:
 # ingest-decode, daemon-cycle and batch-submit families in
 # internal/server, so those paths are swept too.
 bench-smoke:
-	$(GO) test -timeout 5m -run '^$$' -bench 'ScheduleIteration|PlanEarliestStart|PlanStartableNowOverlays|PlanCommit|SimEndToEnd|SimAtScale|SimWhatIf|FairPeriodic' -benchtime 1x .
+	$(GO) test -timeout 5m -run '^$$' -bench 'ScheduleIteration|PlanBuild|PlanEarliestStart|PlanStartableNowOverlays|PlanCommit|SimEndToEnd|SimAtScale|SimWhatIf|FairPeriodic' -benchtime 1x .
 	$(GO) test -timeout 5m -run '^$$' -bench 'PrioritizeWarm|WindowSearchYear' -benchtime 1x ./internal/core
 	$(GO) test -timeout 5m -run '^$$' -bench 'IngestDecode|DaemonCycle|BatchSubmit' -benchtime 1x ./internal/server
 

@@ -503,6 +503,32 @@ func BenchmarkPlanStartableNowOverlays(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(sizes)), "ns/probe")
 }
 
+// BenchmarkPlanBuild is the per-pass plan cost on a loaded Intrepid:
+// Plan(now), one EarliestStart per width class (1 to 64 midplanes and
+// the 80-midplane full system), and Recycle, as a pass builds, probes
+// and hands back its plan. Two midplanes are idle and every other one
+// holds a job with its own release, so the narrow classes answer now
+// and the wide ones scan their release cursors. It reports allocations:
+// a warm plan allocates nothing.
+func BenchmarkPlanBuild(b *testing.B) {
+	m := machine.NewIntrepid()
+	for s := 0; s < m.Midplanes(); s++ {
+		if s != 17 && s != 70 {
+			m.TryStartAt(s, 512, 0, units.Duration(1800+s*97), s)
+		}
+	}
+	widths := []int{1, 2, 4, 8, 16, 32, 64, 80}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		plan := m.Plan(600)
+		for _, w := range widths {
+			plan.EarliestStart(w*512, 3600)
+		}
+		m.Recycle(plan)
+	}
+}
+
 func BenchmarkPlanCommit(b *testing.B) {
 	m := machine.NewIntrepid()
 	for i := 0; i < 40; i++ {

@@ -110,13 +110,14 @@ type MetricAware struct {
 	// entry.
 	//
 	// Untuned: true on the three paths that return before the ranking —
-	// the empty queue, the no-fit fast path and the no-op exit after
-	// the reservation re-commit. None of them reads BF or W, so every
-	// clone differing only in those takes the same path from the same
-	// state. Conservative passes never claim it: no Tuner wraps a
-	// conservative policy, so the claim would have no reader, and the
-	// what-if prefix sharing that reads it stays confined to the
-	// one-reservation regime.
+	// the empty queue, the no-fit fast path and the one-start exit after
+	// the reservation re-commit, which starts the lone startable job if
+	// there is one. None of them reads BF or W, so every clone differing
+	// only in those takes the same path from the same state.
+	// Conservative passes never claim it: no Tuner wraps a conservative
+	// policy, so the claim would have no reader, and the what-if prefix
+	// sharing that reads it stays confined to the one-reservation
+	// regime.
 	last sched.PassReport
 
 	// scorers ranks the queue when non-nil (NewMultiMetric); nil means
@@ -325,15 +326,28 @@ func (s *MetricAware) Schedule(env sched.Env) {
 		}
 	}
 
-	// No-op exit: with the protection held and no queued job startable
-	// against the plan, every window below would take the backfill skip
-	// (nothing fits now, and the one reservation is already placed), so
-	// the pass starts nothing and moves no state. Returning before the
-	// ranking makes it one plan probe per job that fits the idle count.
-	if reserved && !s.Conservative && startableNow(env, plan, queue, 1) == 0 {
-		s.last.Untuned = true
-		recyclePlan(env.Machine(), plan)
-		return
+	// One-start exit: with the protection held and at most one queued job
+	// startable against the plan, the pass's outcome is fixed before any
+	// ranking. Every window without that job takes the backfill skip
+	// (nothing fits now, and the one reservation is already placed). The
+	// window holding it starts it in every order, at the hint
+	// StartableNow shares with EarliestStart, and places no reservation;
+	// the start only removes space, so no later window gains a startable
+	// job. Whatever BF, W and the ranking, the pass starts that job there
+	// and nothing else, so returning before the ranking makes it one plan
+	// probe per job that fits the idle count — and the outcome rests only
+	// on the holder and the started job being queued.
+	if reserved && !s.Conservative {
+		n, j, hint := startableNow(env, plan, queue)
+		if n < 2 {
+			s.last.Untuned = true
+			if n == 1 && env.StartAt(j, hint) {
+				s.last.Quiescent = false
+				s.last.Horizon = max(s.last.Horizon, j.Submit)
+			}
+			recyclePlan(env.Machine(), plan)
+			return
+		}
 	}
 
 	scorers := s.scorers
@@ -371,7 +385,7 @@ func (s *MetricAware) Schedule(env sched.Env) {
 		}
 		window := sorted[pos:end]
 
-		startable := startableNow(env, plan, window, 2)
+		startable, _, _ := startableNow(env, plan, window)
 		if reserved && !s.Conservative && startable == 0 {
 			// Backfill regime: without reservations to place, a window
 			// in which nothing fits now cannot contribute.

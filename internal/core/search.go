@@ -18,26 +18,26 @@ import (
 const maxPermWindow = 7
 
 // startableNow counts the jobs that can start at this instant under
-// the plan, stopping at limit — the window loop only distinguishes
-// none / exactly one / several (limit 2), the no-op exit only none /
-// some (limit 1). A start can only consume idle nodes, so a request
+// the plan, stopping at two — its callers only distinguish none /
+// exactly one / several — and returns the first such job with its
+// StartableNow hint. A start can only consume idle nodes, so a request
 // exceeding the idle count is rejected before the (much more expensive)
 // plan probe; when the machine is saturated every job short-circuits
 // and the scan costs a handful of integer compares.
-func startableNow(env sched.Env, plan machine.Plan, jobs []*job.Job, limit int) int {
+func startableNow(env sched.Env, plan machine.Plan, jobs []*job.Job) (n int, first *job.Job, hint int) {
 	idle := env.Machine().IdleNodes()
-	n := 0
 	for _, j := range jobs {
 		if j.Nodes > idle {
 			continue
 		}
-		if _, ok := plan.StartableNow(j.Nodes, j.Walltime); ok {
-			if n++; n == limit {
+		if h, ok := plan.StartableNow(j.Nodes, j.Walltime); ok {
+			if n++; n == 2 {
 				break
 			}
+			first, hint = j, h
 		}
 	}
-	return n
+	return n, first, hint
 }
 
 // bestPermutation returns the winning window order (indices into

@@ -239,7 +239,8 @@ func TestVerifyWindowPlantedSuboptimal(t *testing.T) {
 
 // CheckEngineState is the per-step structural audit: a machine whose
 // allocation census disagrees with the engine's running set is flagged,
-// as is a queued job in the wrong state.
+// as are a queued job in the wrong state and a job that is queued and
+// running at once, whether as one object or as two sharing an ID.
 func TestCheckEngineStatePlanted(t *testing.T) {
 	m := machine.NewFlat(10)
 	run := &job.Job{ID: 1, Nodes: 4, Walltime: 100, Runtime: 100}
@@ -258,5 +259,12 @@ func TestCheckEngineStatePlanted(t *testing.T) {
 	q := &job.Job{ID: 2, Nodes: 1, Walltime: 10, Runtime: 10, State: job.Running}
 	if err := CheckEngineState(m, 10, []*job.Job{q}, []*job.Job{run}); err == nil {
 		t.Fatal("mis-stated queued job not flagged")
+	}
+	twin := &job.Job{ID: run.ID, Nodes: 1, Walltime: 10, Runtime: 10, State: job.Queued}
+	for _, queued := range []*job.Job{run, twin} {
+		if err := CheckEngineState(m, 10, []*job.Job{queued}, []*job.Job{run}); err == nil ||
+			!strings.Contains(err.Error(), "both queued and running") {
+			t.Fatalf("job %d queued and running at once not flagged (err = %v)", queued.ID, err)
+		}
 	}
 }

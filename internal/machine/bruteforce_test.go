@@ -197,7 +197,7 @@ func checkPartitionPlan(t *testing.T, m *Partition, maxRunning, maxCommits int, 
 	earliest := func(nodes int, wall units.Duration) (units.Time, int) {
 		width := m.BlockMidplanes(nodes)
 		for bs := 0; bs+width <= m.Midplanes(); bs += width {
-			if m.blockFreeNow(bs, width) && blockFree(bs, width, now, wall) {
+			if blockFreeNow(m.bits, bs, width) && blockFree(bs, width, now, wall) {
 				return now, bs
 			}
 		}

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"amjs/internal/units"
@@ -20,21 +21,37 @@ import (
 //
 // Occupancy is a uint64 bitset (bit i = midplane i busy), so block
 // probes are word-parallel mask tests and idle accounting is a cached
-// popcount. Alongside the bits the machine maintains relEnd, the
-// walltime-based release estimate per busy midplane — the availability
-// index Plan snapshots instead of walking the allocation table.
+// popcount. Alongside the bits the machine maintains its availability
+// index, rel: for every aligned block of every width class, the latest
+// walltime-based release over the block's busy midplanes. A start or
+// release updates only the blocks it touches, and Plan copies the index
+// instead of rebuilding it.
 type Partition struct {
 	midplanes int // number of midplanes
 	perMP     int // nodes per midplane
+	mpShift   int // log2(perMP) when perMP is a power of two, else -1
 	maxPow2   int // largest power-of-two block size <= midplanes
 
 	nextID   Alloc
-	bits     []uint64     // occupancy bitset; bit i set = midplane i busy
-	busyMPs  int          // popcount of bits, maintained incrementally
-	relEnd   []units.Time // per-midplane release estimate (meaningful where busy)
-	lastMask uint64       // valid-bit mask for the final bitset word
+	bits     []uint64 // occupancy bitset; bit i set = midplane i busy
+	busyMPs  int      // popcount of bits, maintained incrementally
+	lastMask uint64   // valid-bit mask for the final bitset word
 	allocs   map[Alloc]partAlloc
 	used     int // sum of requested node counts of running jobs
+
+	// rel is the release index, one segment per width class (see
+	// classOff): rel[classOff[k]+b] is the latest release estimate over
+	// the busy midplanes of aligned block b of width 2^k, idleRelease when
+	// the block is idle. Class 0 is the per-midplane estimate; the final
+	// class, present only when midplanes is not a power of two, is the
+	// full-system block. setBlock keeps it exact.
+	rel      []units.Time
+	classOff []int
+
+	// minBusy is the earliest release estimate over the busy midplanes
+	// (meaningful while busyMPs > 0): a plan at or past it holds an
+	// overdue midplane.
+	minBusy units.Time
 
 	// planPool holds retired planner objects handed back through Recycle,
 	// so the one-plan-per-pass pattern stops allocating after warm-up. A
@@ -42,6 +59,10 @@ type Partition struct {
 	// plans live within one pass (a commitment view plus a free view).
 	planPool []*partPlan
 }
+
+// idleRelease marks an idle block in the release index: it precedes
+// every instant, so a read clamped to max(·, now) gives now.
+const idleRelease = units.Time(math.MinInt64)
 
 type partAlloc struct {
 	jobID  int
@@ -60,14 +81,30 @@ func NewPartition(midplanes, perMP int) *Partition {
 	p := &Partition{
 		midplanes: midplanes,
 		perMP:     perMP,
+		mpShift:   -1,
 		maxPow2:   prevPow2(midplanes),
 		bits:      make([]uint64, (midplanes+63)/64),
-		relEnd:    make([]units.Time, midplanes),
 		lastMask:  ^uint64(0),
 		allocs:    make(map[Alloc]partAlloc),
 	}
+	if perMP&(perMP-1) == 0 {
+		p.mpShift = bits.Len(uint(perMP)) - 1
+	}
 	if r := midplanes & 63; r != 0 {
 		p.lastMask = uint64(1)<<uint(r) - 1
+	}
+	n := 0
+	for w := 1; w <= p.maxPow2; w <<= 1 {
+		p.classOff = append(p.classOff, n)
+		n += midplanes / w
+	}
+	if midplanes != p.maxPow2 {
+		p.classOff = append(p.classOff, n)
+		n++
+	}
+	p.rel = make([]units.Time, n)
+	for i := range p.rel {
+		p.rel[i] = idleRelease
 	}
 	return p
 }
@@ -104,11 +141,6 @@ func (p *Partition) UsedNodes() int { return p.used }
 // RunningCount implements Machine.
 func (p *Partition) RunningCount() int { return len(p.allocs) }
 
-// midplaneBusy reports whether midplane i is occupied.
-func (p *Partition) midplaneBusy(i int) bool {
-	return p.bits[i>>6]&(1<<uint(i&63)) != 0
-}
-
 // BlockMidplanes returns the width in midplanes of the partition that
 // would serve a request of the given node count, or -1 when the request
 // can never fit.
@@ -116,7 +148,12 @@ func (p *Partition) BlockMidplanes(nodes int) int {
 	if nodes <= 0 || nodes > p.TotalNodes() {
 		return -1
 	}
-	m := (nodes + p.perMP - 1) / p.perMP
+	var m int
+	if p.mpShift >= 0 {
+		m = (nodes + p.perMP - 1) >> uint(p.mpShift)
+	} else {
+		m = (nodes + p.perMP - 1) / p.perMP
+	}
 	if m <= p.maxPow2 {
 		return nextPow2(m)
 	}
@@ -144,15 +181,15 @@ func blockMask(start, span int) (word int, mask uint64) {
 }
 
 // blockFreeNow reports whether midplanes [start, start+width) are all
-// idle, testing whole bitset words at a time.
-func (p *Partition) blockFreeNow(start, width int) bool {
+// idle in the occupancy bitset occ, testing whole words at a time.
+func blockFreeNow(occ []uint64, start, width int) bool {
 	for end := start + width; start < end; {
 		span := 64 - start&63
 		if span > end-start {
 			span = end - start
 		}
 		w, mask := blockMask(start, span)
-		if p.bits[w]&mask != 0 {
+		if occ[w]&mask != 0 {
 			return false
 		}
 		start += span
@@ -160,18 +197,17 @@ func (p *Partition) blockFreeNow(start, width int) bool {
 	return true
 }
 
-// setBlock marks midplanes [start, start+width) busy (or idle when
-// busy=false) and maintains the popcount and release index.
+// setBlock marks the aligned block [start, start+width) busy until end
+// (or idle when busy=false) and maintains the popcount, the release
+// index and minBusy. Each width class changes in the blocks the job's
+// block covers, which take the new value, and in the one block that
+// covers it, which is the larger of its two halves: O(width + log
+// midplanes) per call, plus one pass over the per-midplane class when a
+// release frees the earliest busy estimate.
 func (p *Partition) setBlock(start, width int, busy bool, end units.Time) {
-	for i := start; i < start+width; i++ {
-		p.relEnd[i] = end
-	}
-	for endIdx := start + width; start < endIdx; {
-		span := 64 - start&63
-		if span > endIdx-start {
-			span = endIdx - start
-		}
-		w, mask := blockMask(start, span)
+	for i := start; i < start+width; {
+		span := min(64-i&63, start+width-i)
+		w, mask := blockMask(i, span)
 		if busy {
 			p.busyMPs += span - bits.OnesCount64(p.bits[w]&mask)
 			p.bits[w] |= mask
@@ -179,7 +215,51 @@ func (p *Partition) setBlock(start, width int, busy bool, end units.Time) {
 			p.busyMPs -= bits.OnesCount64(p.bits[w] & mask)
 			p.bits[w] &^= mask
 		}
-		start += span
+		i += span
+	}
+	v := idleRelease
+	if busy {
+		v = end
+	}
+	was := p.rel[start] // class 0: the block's midplanes share one estimate
+	for k, c := 0, 1; c <= p.maxPow2; k, c = k+1, c<<1 {
+		seg := p.rel[p.classOff[k] : p.classOff[k]+p.midplanes>>uint(k)]
+		if c <= width {
+			for b := start >> uint(k); b < (start+width)>>uint(k); b++ {
+				seg[b] = v
+			}
+			continue
+		}
+		b := start >> uint(k)
+		if b >= len(seg) {
+			break // the tail past the last whole block of this class
+		}
+		half := p.rel[p.classOff[k-1]+2*b:]
+		seg[b] = max(half[0], half[1])
+	}
+	if p.midplanes != p.maxPow2 {
+		// The full-system block: the largest blocks that tile [0, midplanes).
+		full, pos := idleRelease, 0
+		for k := bits.Len(uint(p.maxPow2)) - 1; k >= 0; k-- {
+			if p.midplanes>>uint(k)&1 != 0 {
+				full = max(full, p.rel[p.classOff[k]+pos>>uint(k)])
+				pos += 1 << uint(k)
+			}
+		}
+		p.rel[len(p.rel)-1] = full
+	}
+	// A start fills an idle block, so busyMPs == width means the machine
+	// was idle before it.
+	switch {
+	case busy && (p.busyMPs == width || end < p.minBusy):
+		p.minBusy = end
+	case !busy && p.busyMPs > 0 && was == p.minBusy:
+		p.minBusy = units.Forever
+		for _, r := range p.rel[:p.midplanes] {
+			if r != idleRelease && r < p.minBusy {
+				p.minBusy = r
+			}
+		}
 	}
 }
 
@@ -195,26 +275,27 @@ var alignCandMasks = [7]uint64{
 	1,
 }
 
-// firstFreeBlock returns the lowest aligned start >= from of an
-// all-idle block of the given width, or -1. For widths inside one
-// bitset word the scan is word-parallel: fold the free mask so bit s
-// survives iff midplanes [s, s+width) are all idle, keep aligned
-// offsets, and take the lowest surviving bit — a handful of register
-// operations per 64 midplanes instead of a per-candidate probe loop.
-func (p *Partition) firstFreeBlock(width, from int) int {
+// firstFreeBlock returns the lowest aligned start >= from of a block of
+// the given width that is all idle in the occupancy bitset occ, or -1.
+// For widths inside one bitset word the scan is word-parallel: fold the
+// free mask so bit s survives iff midplanes [s, s+width) are all idle,
+// keep aligned offsets, and take the lowest surviving bit — a handful
+// of register operations per 64 midplanes instead of a per-candidate
+// probe loop.
+func (p *Partition) firstFreeBlock(occ []uint64, width, from int) int {
 	if width > 64 || width > p.maxPow2 {
 		// At most one or two candidates (width 64 on small machines, or
 		// the full-system partition): probe them directly.
 		for s := (from + width - 1) / width * width; s+width <= p.midplanes; s += width {
-			if p.blockFreeNow(s, width) {
+			if blockFreeNow(occ, s, width) {
 				return s
 			}
 		}
 		return -1
 	}
-	for wi := from >> 6; wi < len(p.bits); wi++ {
-		free := ^p.bits[wi]
-		if wi == len(p.bits)-1 {
+	for wi := from >> 6; wi < len(occ); wi++ {
+		free := ^occ[wi]
+		if wi == len(occ)-1 {
 			free &= p.lastMask
 		}
 		free = foldFree(free, width) & alignCandMasks[bits.Len(uint(width))-1]
@@ -240,7 +321,7 @@ func foldFree(free uint64, width int) uint64 {
 // CanStartNow implements Machine.
 func (p *Partition) CanStartNow(nodes int) bool {
 	width := p.BlockMidplanes(nodes)
-	return width > 0 && p.firstFreeBlock(width, 0) >= 0
+	return width > 0 && p.firstFreeBlock(p.bits, width, 0) >= 0
 }
 
 // TryStart implements Machine with first-fit placement over aligned
@@ -250,7 +331,7 @@ func (p *Partition) TryStart(jobID, nodes int, now units.Time, walltime units.Du
 	if width < 0 {
 		return NoAlloc, false
 	}
-	hint := p.firstFreeBlock(width, 0)
+	hint := p.firstFreeBlock(p.bits, width, 0)
 	if hint < 0 {
 		return NoAlloc, false
 	}
@@ -261,10 +342,10 @@ func (p *Partition) TryStart(jobID, nodes int, now units.Time, walltime units.Du
 // midplane if that aligned block is free.
 func (p *Partition) TryStartAt(jobID, nodes int, now units.Time, walltime units.Duration, hint int) (Alloc, bool) {
 	width := p.BlockMidplanes(nodes)
-	if width < 0 || hint < 0 || hint%width != 0 || hint+width > p.midplanes {
+	if width < 0 || hint < 0 || hint&(width-1) != 0 || hint+width > p.midplanes {
 		return NoAlloc, false
 	}
-	if !p.blockFreeNow(hint, width) {
+	if !blockFreeNow(p.bits, hint, width) {
 		return NoAlloc, false
 	}
 	end := now.Add(walltime)
@@ -292,12 +373,13 @@ func (p *Partition) Release(a Alloc, _ units.Time) {
 // Clone implements Machine.
 func (p *Partition) Clone() Machine {
 	c := &Partition{
-		midplanes: p.midplanes, perMP: p.perMP, maxPow2: p.maxPow2,
+		midplanes: p.midplanes, perMP: p.perMP, mpShift: p.mpShift, maxPow2: p.maxPow2,
 		lastMask: p.lastMask,
-		nextID:   p.nextID, used: p.used, busyMPs: p.busyMPs,
-		bits:   append([]uint64(nil), p.bits...),
-		relEnd: append([]units.Time(nil), p.relEnd...),
-		allocs: make(map[Alloc]partAlloc, len(p.allocs)),
+		nextID:   p.nextID, used: p.used, busyMPs: p.busyMPs, minBusy: p.minBusy,
+		bits:     append([]uint64(nil), p.bits...),
+		rel:      append([]units.Time(nil), p.rel...),
+		classOff: p.classOff, // geometry: never written after NewPartition
+		allocs:   make(map[Alloc]partAlloc, len(p.allocs)),
 	}
 	for k, v := range p.allocs {
 		c.allocs[k] = v
@@ -314,9 +396,9 @@ func (p *Partition) CloneInto(dst Machine) Machine {
 	if !ok || d == p || d.midplanes != p.midplanes || d.perMP != p.perMP {
 		return p.Clone()
 	}
-	d.nextID, d.used, d.busyMPs = p.nextID, p.used, p.busyMPs
+	d.nextID, d.used, d.busyMPs, d.minBusy = p.nextID, p.used, p.busyMPs, p.minBusy
 	copy(d.bits, p.bits)
-	copy(d.relEnd, p.relEnd)
+	copy(d.rel, p.rel)
 	clear(d.allocs)
 	for k, v := range p.allocs {
 		d.allocs[k] = v
@@ -324,12 +406,11 @@ func (p *Partition) CloneInto(dst Machine) Machine {
 	return d
 }
 
-// Plan implements Machine. The planner snapshots the machine's
-// per-midplane release index: base[i] is the instant midplane i frees
-// under walltime estimates (now when idle or freeing this instant), so
-// building a plan is one array fill — no allocation-table walk, no
-// per-midplane interval lists — reusing a recycled planner's buffers
-// when the pool has one.
+// Plan implements Machine. The planner copies the machine's release
+// index and occupancy bits — a few hundred words on Intrepid, no
+// allocation-table walk, no per-plan rebuild — into a recycled
+// planner's buffers when the pool has one. The copy is a snapshot:
+// starts and releases on the machine after Plan do not reach it.
 func (p *Partition) Plan(now units.Time) Plan {
 	var pl *partPlan
 	if n := len(p.planPool); n > 0 {
@@ -337,34 +418,23 @@ func (p *Partition) Plan(now units.Time) Plan {
 		p.planPool[n-1] = nil
 		p.planPool = p.planPool[:n-1]
 		pl.ovl = pl.ovl[:0]
-		for k, rel := range pl.blockRel {
-			pl.blockRel[k] = rel[:0] // invalidate, keep capacity
-		}
 	} else {
-		pl = &partPlan{m: p, base: make([]units.Time, p.midplanes)}
+		pl = &partPlan{m: p, rel: make([]units.Time, len(p.rel)), bits: make([]uint64, len(p.bits))}
 	}
 	pl.now = now
-	pl.overdue = false
-	for i := range pl.base {
-		if e := p.relEnd[i]; p.midplaneBusy(i) && e > now {
-			pl.base[i] = e
-		} else {
-			pl.base[i] = now
-			if p.midplaneBusy(i) {
-				// A busy midplane at or past its walltime-based release
-				// estimate: machine-occupied but profile-free at now.
-				pl.overdue = true
-			}
-		}
-	}
+	copy(pl.rel, p.rel)
+	copy(pl.bits, p.bits)
+	// A busy midplane at or past its walltime-based release estimate is
+	// machine-occupied but profile-free at now.
+	pl.overdue = p.busyMPs > 0 && p.minBusy <= now
 	return pl
 }
 
 // Recycle implements PlanRecycler: a finished plan returns to the pool
 // for the next Plan call to reset and reuse. Plans belonging to a
 // different Partition instance (clones) are ignored rather than
-// adopted — their base buffer is sized for that instance, and pooling
-// across instances would let a clone's pass corrupt the original's.
+// adopted, so a clone's pass can never corrupt a plan the original
+// hands out.
 func (p *Partition) Recycle(pl Plan) {
 	if pp, ok := pl.(*partPlan); ok && pp.m == p {
 		p.planPool = append(p.planPool, pp)
@@ -379,37 +449,35 @@ type ival struct {
 // partPlan is the partition machine's what-if planner: an indexed
 // availability profile.
 //
-// The running jobs' future is one release instant per midplane (base):
-// midplane i is busy exactly over [now, base[i]). Commitments made
-// through the plan (reservations, window-search speculation) live in a
-// flat overlay log (ovl): one entry per commitment holding its midplane
-// range and time window, appended by Commit in commit order. The log
-// stays tiny — a window search keeps at most the window's worth of
-// speculative commitments live at once — so conflict probes are a
+// The running jobs' future is the machine's release index as it stood
+// when the plan was built (rel, the same layout as Partition.rel):
+// aligned block b of width 2^k is busy exactly over [now, max(r, now))
+// with r its index entry, and entries at or before now (idle blocks,
+// overdue ones) read as free at now. Commitments made through the plan
+// (reservations, window-search speculation) live in a flat overlay log
+// (ovl): one entry per commitment holding its midplane range and time
+// window, appended by Commit in commit order. The log stays tiny — a
+// window search keeps at most the window's worth of speculative
+// commitments live at once — so conflict probes are a
 // branch-predictable linear scan over a contiguous array, and
 // Save/Restore degenerate to remembering and restoring its length.
 //
-// With no overlays at all the earliest start of a block is simply the
-// maximum base release over its midplanes, and those maxima are cached
-// per width class (blockRel) — the per-width earliest-free cursor.
-// base is immutable for the plan's lifetime, so the cursor cache never
-// invalidates.
+// With no overlays at all the earliest start of a block is simply its
+// index entry clamped to now: each width class's segment is the
+// per-width earliest-free cursor, immutable for the plan's lifetime.
 type partPlan struct {
 	now  units.Time
 	m    *Partition
-	base []units.Time // per-midplane release floor (>= now, = now when idle)
+	rel  []units.Time // the machine's release index at Plan time
+	bits []uint64     // the machine's occupancy bits at Plan time
 
-	// overdue records whether any machine-busy midplane has base == now
-	// (its release estimate is in the past). Such midplanes are invisible
-	// to the occupancy sweep yet free in the profile, so StartableNow must
-	// fall through to the cursor scan only when one exists.
+	// overdue records whether any busy midplane's release estimate is at
+	// or before now. Such midplanes are invisible to the occupancy sweep
+	// yet free in the profile, so StartableNow must fall through to the
+	// cursor scan only when one exists.
 	overdue bool
 
 	ovl []planOvl // overlay log: one entry per outstanding commitment
-
-	// blockRel[k][b] = max base release over aligned block b of width
-	// class k, clamped to >= now; built lazily per class on first probe.
-	blockRel [][]units.Time
 }
 
 // planOvl is one committed block reservation: midplanes [lo, hi) are
@@ -427,14 +495,15 @@ func (pl *partPlan) Clone() Plan {
 	return &partPlan{
 		now:     pl.now,
 		m:       pl.m,
-		base:    append([]units.Time(nil), pl.base...),
+		rel:     append([]units.Time(nil), pl.rel...),
+		bits:    append([]uint64(nil), pl.bits...),
 		overdue: pl.overdue,
 		ovl:     append([]planOvl(nil), pl.ovl...),
 	}
 }
 
 // CloneInto implements PlanCloner: the snapshot lands in dst's buffers
-// when dst is a retired plan of the same machine (base lengths then
+// when dst is a retired plan of the same machine (buffer lengths then
 // match by construction), falling back to a fresh Clone otherwise.
 func (pl *partPlan) CloneInto(dst Plan) Plan {
 	d, ok := dst.(*partPlan)
@@ -443,11 +512,9 @@ func (pl *partPlan) CloneInto(dst Plan) Plan {
 	}
 	d.now = pl.now
 	d.overdue = pl.overdue
-	copy(d.base, pl.base)
+	copy(d.rel, pl.rel)
+	copy(d.bits, pl.bits)
 	d.ovl = append(d.ovl[:0], pl.ovl...)
-	for k, rel := range d.blockRel {
-		d.blockRel[k] = rel[:0] // invalidate the cursor cache, keep capacity
-	}
 	return d
 }
 
@@ -463,48 +530,18 @@ func (pl *partPlan) Restore(m PlanMark) {
 	pl.ovl = pl.ovl[:int(m)]
 }
 
-// widthClass maps a block width to its cursor-cache slot: power-of-two
-// widths use their log2, the (non-power-of-two) full-system width uses
-// the final slot.
-func (pl *partPlan) widthClass(width int) int {
-	if width == pl.m.midplanes && width != pl.m.maxPow2 {
-		return bits.Len(uint(pl.m.maxPow2)) // one past the largest pow2 class
-	}
-	return bits.Len(uint(width)) - 1
-}
-
-// releases returns the per-block earliest-free cursor for the width:
-// releases(w)[b] is the earliest instant aligned block b (starting at
-// midplane b*w) is free of running jobs, ignoring overlays. A class's
-// cursor is valid when built for this plan (non-zero length; every
-// class has at least one block); recycled plans keep the capacity and
-// rebuild lazily.
+// releases returns the plan's index segment for the width's class:
+// releases(w)[b] is the latest release estimate over aligned block b
+// (starting at midplane b*w), idleRelease when the block was idle. The
+// earliest instant the block is free of running jobs, ignoring
+// overlays, is max(releases(w)[b], now).
 func (pl *partPlan) releases(width int) []units.Time {
-	if pl.blockRel == nil {
-		pl.blockRel = make([][]units.Time, bits.Len(uint(pl.m.maxPow2))+1)
+	m := pl.m
+	if width == m.midplanes && width != m.maxPow2 {
+		return pl.rel[len(pl.rel)-1:] // the full-system class
 	}
-	k := pl.widthClass(width)
-	n := pl.m.midplanes / width
-	if rel := pl.blockRel[k]; len(rel) == n {
-		return rel
-	}
-	rel := pl.blockRel[k]
-	if cap(rel) >= n {
-		rel = rel[:n]
-	} else {
-		rel = make([]units.Time, n)
-	}
-	for b := range rel {
-		mx := pl.now
-		for i := b * width; i < (b+1)*width; i++ {
-			if pl.base[i] > mx {
-				mx = pl.base[i]
-			}
-		}
-		rel[b] = mx
-	}
-	pl.blockRel[k] = rel
-	return rel
+	k := bits.Len(uint(width)) - 1
+	return pl.rel[m.classOff[k] : m.classOff[k]+m.midplanes>>uint(k)]
 }
 
 // conflictEnd returns the latest end among overlay commitments that
@@ -522,10 +559,11 @@ func (pl *partPlan) conflictEnd(lo, hi int, t, end units.Time) units.Time {
 }
 
 // blockFree reports whether the aligned block [start, start+width) is
-// free over [t, t+d): the cached base release of the block must be <= t
+// free over [t, t+d) for a t >= now: the block's release must be <= t
 // and no overlay commitment may overlap the window.
 func (pl *partPlan) blockFree(start, width int, t units.Time, d units.Duration) bool {
-	if pl.releases(width)[start/width] > t {
+	// start/width for an aligned start (the full-system block starts at 0).
+	if pl.releases(width)[start>>uint(bits.TrailingZeros(uint(width)))] > t {
 		return false
 	}
 	if len(pl.ovl) == 0 {
@@ -536,7 +574,7 @@ func (pl *partPlan) blockFree(start, width int, t units.Time, d units.Duration) 
 
 // earliestForBlockFrom returns the earliest t >= from at which
 // midplanes [lo, hi) are free of overlay commitments for the duration
-// (base releases are already folded into from), or Forever once the
+// (index releases are already folded into from), or Forever once the
 // candidate reaches bound (the caller's incumbent best: a later start
 // cannot win, so the jump loop stops probing). It repeatedly jumps the
 // candidate start to the latest end among currently conflicting overlay
@@ -559,9 +597,10 @@ func (pl *partPlan) earliestForBlockFrom(from units.Time, lo, hi int, d units.Du
 }
 
 // immediateFit is the word-parallel immediate-start sweep: the lowest
-// aligned block of the width whose midplanes are all idle on the machine
-// and uncommitted over [now, end), or -1. (A machine-idle midplane has
-// base == now, so with no overlays an idle block needs no further
+// aligned block of the width whose midplanes were all idle on the
+// machine when the plan was built and are uncommitted over [now, end),
+// or -1. (A machine-idle block reads
+// free at now in the index, so with no overlays it needs no further
 // check.) A miss does not prove "not startable now" by itself: overdue
 // midplanes are machine-busy yet profile-free.
 //
@@ -573,7 +612,7 @@ func (pl *partPlan) earliestForBlockFrom(from units.Time, lo, hi int, d units.Du
 func (pl *partPlan) immediateFit(width int, end units.Time) int {
 	m := pl.m
 	if width > 64 || width > m.maxPow2 {
-		for s := m.firstFreeBlock(width, 0); s >= 0; s = m.firstFreeBlock(width, s+width) {
+		for s := m.firstFreeBlock(pl.bits, width, 0); s >= 0; s = m.firstFreeBlock(pl.bits, width, s+width) {
 			if len(pl.ovl) == 0 || pl.conflictEnd(s, s+width, pl.now, end) < 0 {
 				return s
 			}
@@ -581,9 +620,9 @@ func (pl *partPlan) immediateFit(width int, end units.Time) int {
 		return -1
 	}
 	align := alignCandMasks[bits.Len(uint(width))-1]
-	for wi, busy := range m.bits {
+	for wi, busy := range pl.bits {
 		valid := ^uint64(0)
-		if wi == len(m.bits)-1 {
+		if wi == len(pl.bits)-1 {
 			valid = m.lastMask
 		}
 		if foldFree(^busy&valid, width)&align == 0 {
@@ -628,7 +667,7 @@ func (pl *partPlan) StartableNow(nodes int, walltime units.Duration) (int, bool)
 	// now, hence the identical hint).
 	rel := pl.releases(width)
 	for b, s := 0, 0; s+width <= pl.m.midplanes; b, s = b+1, s+width {
-		if rel[b] == pl.now && (len(pl.ovl) == 0 || pl.conflictEnd(s, s+width, pl.now, end) < 0) {
+		if rel[b] <= pl.now && (len(pl.ovl) == 0 || pl.conflictEnd(s, s+width, pl.now, end) < 0) {
 			return s, true
 		}
 	}
@@ -656,10 +695,10 @@ func (pl *partPlan) EarliestStart(nodes int, walltime units.Duration) (units.Tim
 	rel := pl.releases(width)
 	best := units.Forever
 	if len(pl.ovl) == 0 {
-		// Pure cursor scan: the earliest start per block is its cached
-		// base release; pick the first strict minimum.
+		// Pure cursor scan: the earliest start per block is its index
+		// release clamped to now; pick the first strict minimum.
 		for b, s := 0, 0; s+width <= pl.m.midplanes; b, s = b+1, s+width {
-			if t := rel[b]; t < best {
+			if t := max(rel[b], pl.now); t < best {
 				best, hint = t, s
 				if best == pl.now {
 					break
@@ -669,7 +708,7 @@ func (pl *partPlan) EarliestStart(nodes int, walltime units.Duration) (units.Tim
 		return best, hint
 	}
 	for b, s := 0, 0; s+width <= pl.m.midplanes; b, s = b+1, s+width {
-		t := pl.earliestForBlockFrom(rel[b], s, s+width, walltime, best)
+		t := pl.earliestForBlockFrom(max(rel[b], pl.now), s, s+width, walltime, best)
 		if t < best {
 			best, hint = t, s
 		}
@@ -684,9 +723,8 @@ func (pl *partPlan) EarliestStart(nodes int, walltime units.Duration) (units.Tim
 // that share no midplane. EarliestStart's answer order is by start,
 // then block index, except that at now a block the machine holds idle
 // comes before one that is only free in the profile (an overdue
-// midplane). That split never reorders feasible placements: the machine
-// changes under a plan only when a job starts on a block the plan has
-// committed at now, which no feasible placement at now can touch.
+// midplane). That split is fixed for the plan's life: the plan reads
+// its own copy of the occupancy bits.
 func (pl *partPlan) Independent(a, b Placement) bool {
 	if timeDisjoint(a, b) {
 		return true
@@ -701,7 +739,7 @@ func (pl *partPlan) Independent(a, b Placement) bool {
 // Commit implements Plan.
 func (pl *partPlan) Commit(nodes int, start units.Time, walltime units.Duration, hint int) {
 	width := pl.m.BlockMidplanes(nodes)
-	if width < 0 || hint < 0 || hint%width != 0 || hint+width > pl.m.midplanes {
+	if width < 0 || hint < 0 || hint&(width-1) != 0 || hint+width > pl.m.midplanes {
 		panic("machine: invalid partition plan commitment")
 	}
 	if start < pl.now || !pl.blockFree(hint, width, start, walltime) {

@@ -65,12 +65,17 @@ func partitionInvariantsHold(p *Partition) bool {
 		}
 		if covered[i] {
 			busyCount++
-			if p.relEnd[i] != p.allocEndAt(i) {
+			if p.rel[i] != p.allocEndAt(i) { // class 0: per-midplane estimates
 				return false // release index out of sync
 			}
 		}
 	}
 	return busyCount*p.perMP == p.BusyNodes() // popcount cache in sync
+}
+
+// midplaneBusy reports whether midplane i is occupied (test helper).
+func (p *Partition) midplaneBusy(i int) bool {
+	return p.bits[i>>6]&(1<<uint(i&63)) != 0
 }
 
 // allocEndAt returns the expected-end estimate of the allocation
