@@ -248,6 +248,27 @@ const (
 	multiMetricFair = 857042133
 )
 
+// TestMetricAwareYearScheduleHash pins the exact schedule of the
+// at-scale configuration — MetricAware(0.5, 5) on Intrepid — over the
+// first 10,000 jobs of the seeded Intrepid year: a change to the window
+// search or the pass must not move a single start. The pass's own
+// audits check its claims against what it did; only a hash sees a
+// change that keeps those claims true.
+func TestMetricAwareYearScheduleHash(t *testing.T) {
+	year := workload.IntrepidYear(42)
+	jobs, err := year.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := run(t, Config{Machine: machine.NewIntrepid(), Scheduler: core.NewMetricAware(0.5, 5)}, jobs[:10_000])
+	h := scheduleHash(res)
+	if got := hex.EncodeToString(h[:]); got != metricAwareYearHash {
+		t.Errorf("schedule hash %s, want %s", got, metricAwareYearHash)
+	}
+}
+
+const metricAwareYearHash = "e84c48288fa64bb1484c45eb5f3a20791b1e9e742aa0a1c4a524db6b6c7eb07e"
+
 // TestBackfillFamilyScheduleHashes pins the exact schedule of every
 // queue-order/reservation-depth policy — strict lists, first fit, EASY,
 // conservative, relaxed, fair share and dynP — on each machine model,
