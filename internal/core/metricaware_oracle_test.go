@@ -160,6 +160,21 @@ func oracleIntrepidWindow(r *rand.Rand, n int) []*job.Job {
 	return window
 }
 
+// twinWindow turns a window generator into a twin-heavy one: the n
+// jobs take their (Nodes, Walltime) shapes from two or three drawn from
+// base, so most jobs share a shape with another.
+func twinWindow(base func(*rand.Rand, int) []*job.Job) func(*rand.Rand, int) []*job.Job {
+	return func(r *rand.Rand, n int) []*job.Job {
+		shapes := base(r, 2+r.Intn(2))
+		window := base(r, n)
+		for _, j := range window {
+			s := shapes[r.Intn(len(shapes))]
+			j.Nodes, j.Walltime = s.Nodes, s.Walltime
+		}
+		return window
+	}
+}
+
 // oracleRow is one family of random machine states and windows the
 // window-search tests draw from, with its seed and rounds per mode.
 type oracleRow struct {
@@ -170,10 +185,13 @@ type oracleRow struct {
 	window func(*rand.Rand, int) []*job.Job
 }
 
-// oracleRows are the mixed small models, and Intrepid at full size.
+// oracleRows are the mixed small models, and Intrepid at full size,
+// each also with twin-heavy windows.
 var oracleRows = []oracleRow{
 	{"mixed", 7, 1200, oracleMachine, oracleWindow},
 	{"intrepid-80x512", 80, 400, oracleIntrepid, oracleIntrepidWindow},
+	{"mixed-twins", 11, 600, oracleMachine, twinWindow(oracleWindow)},
+	{"intrepid-twins", 81, 400, oracleIntrepid, twinWindow(oracleIntrepidWindow)},
 }
 
 // The branch-and-bound search must select exactly the permutation the
@@ -197,6 +215,20 @@ func TestBestPermutationMatchesExhaustiveOracle(t *testing.T) {
 // loop ("" when none does). wrap, when non-nil, wraps the plan the
 // search sees; the oracle always sees the plan itself.
 func oracleMismatch(t *testing.T, row oracleRow, wrap func(machine.Plan) machine.Plan) string {
+	return oracleMismatchOf(t, row, func(s *MetricAware, plan machine.Plan, window []*job.Job, now units.Time) []int {
+		if wrap != nil {
+			plan = wrap(plan)
+		}
+		return s.bestPermutation(plan, window, now)
+	})
+}
+
+// windowSearch is a window search under test: bestPermutation, or a
+// deliberately broken variant of it.
+type windowSearch func(s *MetricAware, plan machine.Plan, window []*job.Job, now units.Time) []int
+
+// oracleMismatchOf is oracleMismatch for any window search.
+func oracleMismatchOf(t *testing.T, row oracleRow, search windowSearch) string {
 	r := rand.New(rand.NewSource(row.seed))
 	for _, utilFirst := range []bool{false, true} {
 		s := NewMetricAware(0.5, maxPermWindow)
@@ -210,11 +242,7 @@ func oracleMismatch(t *testing.T, row oracleRow, wrap func(machine.Plan) machine
 			want := exhaustiveBestPermutation(plan, window, now, utilFirst)
 
 			witness := plan.Clone()
-			searched := plan
-			if wrap != nil {
-				searched = wrap(plan)
-			}
-			got, err := searchRecovering(s, searched, window, now)
+			got, err := searchRecovering(s, search, plan, window, now)
 			if err != nil {
 				return fmt.Sprintf("utilFirst=%v round %d on %s: search failed: %v", utilFirst, i, m.Name(), err)
 			}
@@ -248,15 +276,15 @@ func oracleWidth(i int) int {
 	return 2 + i%4
 }
 
-// searchRecovering is bestPermutation with a panic (an infeasible
-// commit from an unsound plan) returned as an error.
-func searchRecovering(s *MetricAware, plan machine.Plan, window []*job.Job, now units.Time) (perm []int, err error) {
+// searchRecovering runs search with a panic (an infeasible commit from
+// an unsound plan) returned as an error.
+func searchRecovering(s *MetricAware, search windowSearch, plan machine.Plan, window []*job.Job, now units.Time) (perm []int, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("%v", p)
 		}
 	}()
-	return s.bestPermutation(plan, window, now), nil
+	return search(s, plan, window, now), nil
 }
 
 func describeWindow(window []*job.Job) [][2]int64 {

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"amjs/internal/job"
 	"amjs/internal/machine"
 	"amjs/internal/units"
 )
@@ -79,7 +80,8 @@ func TestReducedSearchMatchesUnreduced(t *testing.T) {
 }
 
 func addStats(a, b SearchStats) SearchStats {
-	return SearchStats{a.Nodes + b.Nodes, a.Asleep + b.Asleep, a.Inherited + b.Inherited, a.Probes + b.Probes}
+	return SearchStats{a.Nodes + b.Nodes, a.Asleep + b.Asleep, a.Inherited + b.Inherited, a.Probes + b.Probes,
+		a.Twins + b.Twins, a.CapCuts + b.CapCuts}
 }
 
 // A plan that calls every pair independent lets the search skip orders
@@ -93,4 +95,62 @@ func TestAlwaysIndependentFailsOracle(t *testing.T) {
 			t.Errorf("%s: an always-independent plan passed the exhaustive oracle", row.name)
 		}
 	}
+}
+
+// shortFreeNow is a test-only Intrepid plan whose FreeNow reports one
+// aligned block of the request's width too few: a capacity bound that
+// is too low, which the search must never be handed.
+type shortFreeNow struct{ machine.Plan }
+
+var intrepid = machine.NewIntrepid()
+
+func (p shortFreeNow) FreeNow(nodes int) int {
+	return max(0, p.Plan.FreeNow(nodes)-intrepid.PartitionNodes(nodes))
+}
+
+// The capacity bound cuts on FreeNow, so one block too few must cut an
+// optimal order somewhere on the Intrepid row: the oracle comparison
+// has teeth against an unsound FreeNow.
+func TestShortFreeNowFailsOracle(t *testing.T) {
+	short := func(p machine.Plan) machine.Plan { return shortFreeNow{p} }
+	if oracleMismatch(t, oracleRowNamed(t, "intrepid-80x512"), short) == "" {
+		t.Error("a FreeNow one block short passed the exhaustive oracle")
+	}
+}
+
+// A twin rule turned around — of two unplaced twins the higher-index
+// one is placed next — still finds an optimal schedule, but not the
+// lexicographically first order of it, so the oracle must catch it on
+// both twin rows.
+func TestMirroredTwinRuleFailsOracle(t *testing.T) {
+	mirrored := func(s *MetricAware, plan machine.Plan, window []*job.Job, now units.Time) []int {
+		ps := &permSearch{}
+		ps.identity(len(window))
+		ps.begin(plan, window, now, s.UtilizationFirst)
+		for c, j := range window {
+			ps.twins[c] = 0
+			for k := c + 1; k < len(window); k++ {
+				if window[k].Nodes == j.Nodes && window[k].Walltime == j.Walltime {
+					ps.twins[c] |= 1 << k
+				}
+			}
+		}
+		ps.run()
+		return ps.best
+	}
+	for _, name := range []string{"mixed-twins", "intrepid-twins"} {
+		if oracleMismatchOf(t, oracleRowNamed(t, name), mirrored) == "" {
+			t.Errorf("%s: a mirrored twin rule passed the exhaustive oracle", name)
+		}
+	}
+}
+
+func oracleRowNamed(t *testing.T, name string) oracleRow {
+	for _, row := range oracleRows {
+		if row.name == name {
+			return row
+		}
+	}
+	t.Fatalf("no oracle row %q", name)
+	return oracleRow{}
 }

@@ -19,7 +19,9 @@ func (s sharedScheduler) Clone() sched.Scheduler { return s }
 // BenchmarkWindowSearchYear replays the 50k-job Intrepid year under
 // MetricAware(0.5, 5), the BenchmarkSimAtScale configuration, and
 // reports the window search's counters per run: nodes expanded,
-// children skipped asleep, answers inherited and EarliestStart probes.
+// children skipped asleep, answers inherited, plan probes (the
+// all-start check's included), children skipped as the swap of a
+// lower-index twin, and cuts only the free-capacity cap made.
 // reduced is the search as it runs; unreduced hands the search plans
 // that call no two placements independent, which is the search without
 // its partial-order reduction. Both schedules are identical; the counts
@@ -50,6 +52,8 @@ func BenchmarkWindowSearchYear(b *testing.B) {
 			b.ReportMetric(float64(st.Asleep), "asleep/op")
 			b.ReportMetric(float64(st.Inherited), "inherited/op")
 			b.ReportMetric(float64(st.Probes), "probes/op")
+			b.ReportMetric(float64(st.Twins), "twins/op")
+			b.ReportMetric(float64(st.CapCuts), "capcuts/op")
 		})
 	}
 }

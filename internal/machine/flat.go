@@ -238,6 +238,10 @@ func (p *flatPlan) StartableNow(nodes int, walltime units.Duration) (int, bool) 
 	return -1, false
 }
 
+// FreeNow implements Plan: the nodes available at now. A flat request
+// holds exactly the nodes it asks for.
+func (p *flatPlan) FreeNow(int) int { return p.avail[0] }
+
 // EarliestStart implements Plan.
 func (p *flatPlan) EarliestStart(nodes int, walltime units.Duration) (units.Time, int) {
 	if nodes <= 0 || walltime <= 0 {

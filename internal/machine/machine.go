@@ -112,6 +112,20 @@ type Plan interface {
 	// hottest probe in a scheduling pass.
 	StartableNow(nodes int, walltime units.Duration) (int, bool)
 
+	// FreeNow returns an upper bound on the total nodes that requests
+	// of at least nodes nodes can hold when they all start at Now(),
+	// side by side, given the plan's commitments. Commitments only
+	// accumulate, so the bound holds for every later state of the plan
+	// too. A bound that is too low is unsound: the window search cuts
+	// on it. The flat plan answers the nodes available at Now(); the
+	// torus its cells free at Now() at full size; the partition the
+	// aligned blocks of the request's width that are free at Now()
+	// (overdue midplanes included), at full size, or the whole free
+	// capacity when every midplane is free, because the full-system
+	// partition of a machine whose midplane count is not a power of two
+	// is not a union of aligned blocks.
+	FreeNow(nodes int) int
+
 	// Commit reserves the placement returned by EarliestStart. Both the
 	// start and the hint must come from EarliestStart with the same
 	// size and walltime; committing an infeasible placement panics.

@@ -628,19 +628,77 @@ func (pl *partPlan) immediateFit(width int, end units.Time) int {
 		if foldFree(^busy&valid, width)&align == 0 {
 			continue // no idle block here for the overlays to spare
 		}
-		lo := wi << 6
-		for i := range pl.ovl {
-			ov := &pl.ovl[i]
-			if ov.from < end && pl.now < ov.to && ov.lo < lo+64 && lo < ov.hi {
-				a, b := max(ov.lo, lo)-lo, min(ov.hi, lo+64)-lo
-				busy |= (uint64(1)<<uint(b-a) - 1) << uint(a)
-			}
-		}
-		if free := foldFree(^busy&valid, width) & align; free != 0 {
-			return lo + bits.TrailingZeros64(free)
+		if free := foldFree(^pl.overlaid(wi, busy, end)&valid, width) & align; free != 0 {
+			return wi<<6 + bits.TrailingZeros64(free)
 		}
 	}
 	return -1
+}
+
+// overlaid returns the occupancy word wi of the bitset with the
+// midplanes of every overlay live over [now, end) set as well.
+func (pl *partPlan) overlaid(wi int, busy uint64, end units.Time) uint64 {
+	lo := wi << 6
+	for i := range pl.ovl {
+		ov := &pl.ovl[i]
+		if ov.from < end && pl.now < ov.to && ov.lo < lo+64 && lo < ov.hi {
+			a, b := max(ov.lo, lo)-lo, min(ov.hi, lo+64)-lo
+			busy |= (uint64(1)<<uint(b-a) - 1) << uint(a)
+		}
+	}
+	return busy
+}
+
+// FreeNow implements Plan. A request of at least nodes nodes holds an
+// aligned block of the request's width or a wider one, which is a union
+// of such blocks, so the blocks of that width free at now bound what
+// such requests hold side by side. The one partition that is not such
+// a union, the full system of a machine whose midplane count is not a
+// power of two, needs every midplane free, and then the bound is the
+// whole machine. A midplane is free at now when its index entry is at
+// or before now (idle or overdue) and no overlay holds it at now.
+func (pl *partPlan) FreeNow(nodes int) int {
+	m := pl.m
+	width := m.BlockMidplanes(max(nodes, 1))
+	if width < 0 {
+		return 0
+	}
+	words := width >> 6 // whole bitset words per block, past one word
+	blocks, all, run := 0, true, 0
+	for wi, busy := range pl.bits {
+		valid := ^uint64(0)
+		if wi == len(pl.bits)-1 {
+			valid = m.lastMask
+		}
+		if pl.overdue {
+			busy = 0
+			for i, r := range pl.rel[wi<<6 : min(wi<<6+64, m.midplanes)] {
+				if r > pl.now {
+					busy |= 1 << uint(i)
+				}
+			}
+		}
+		busy = pl.overlaid(wi, busy, pl.now+1) & valid
+		all = all && busy == 0
+		switch {
+		case width > m.maxPow2: // the full system, counted by all
+		case words == 0:
+			blocks += bits.OnesCount64(foldFree(^busy&valid, width) & alignCandMasks[bits.Len(uint(width))-1])
+		default:
+			if wi%words == 0 {
+				run = 0
+			}
+			if busy == 0 && valid == ^uint64(0) {
+				if run++; run == words {
+					blocks++
+				}
+			}
+		}
+	}
+	if all {
+		return m.midplanes * m.perMP
+	}
+	return blocks * width * m.perMP
 }
 
 // StartableNow implements Plan: EarliestStart's answer restricted to the

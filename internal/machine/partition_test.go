@@ -168,6 +168,38 @@ func TestPartitionPlanEarliestStart(t *testing.T) {
 	}
 }
 
+// FreeNow on Intrepid, whose 80 midplanes are not a power of two: an
+// idle machine (or one whose only job is overdue) answers the whole
+// machine for every width, the full system included, although only 64
+// midplanes lie in aligned 32- or 64-blocks. Once a midplane is held at
+// now, the full system answers 0 and the other widths count their free
+// aligned blocks; a commitment that starts later holds nothing at now.
+func TestPartitionFreeNow(t *testing.T) {
+	const mp = 512
+	p := NewIntrepid()
+	check := func(pl Plan, want map[int]int) {
+		t.Helper()
+		for width, free := range want {
+			if got := pl.FreeNow(width*mp - 1); got != free*mp {
+				t.Errorf("FreeNow(width %d) = %d midplanes, want %d", width, got/mp, free)
+			}
+		}
+	}
+	all := map[int]int{1: 80, 16: 80, 32: 80, 64: 80, 80: 80}
+	check(p.Plan(0), all)
+
+	a, _ := p.TryStartAt(1, mp, 0, 100, 0) // midplane 0 until 100
+	check(p.Plan(100), all)                // overdue: free in the profile
+	pl := p.Plan(0)
+	check(pl, map[int]int{1: 79, 2: 78, 16: 64, 32: 32, 64: 0, 80: 0})
+
+	pl.Commit(16*mp, 0, 50, 64) // midplanes 64..79 over [0, 50)
+	pl.Commit(8*mp, 10, 50, 32) // midplanes 32..39 from 10: not at now
+	check(pl, map[int]int{1: 63, 8: 56, 16: 48, 32: 32, 64: 0, 80: 0})
+	p.Release(a, 0)
+	check(p.Plan(0), all)
+}
+
 func TestPartitionPlanCommitProtectsReservation(t *testing.T) {
 	p := small()
 	p.TryStartAt(1, 256, 0, 100, 0) // [0,4) until 100

@@ -383,6 +383,26 @@ func (pl *torusPlan) StartableNow(nodes int, walltime units.Duration) (int, bool
 	return hint, true
 }
 
+// FreeNow implements Plan: the cells no running job or commitment holds
+// at now, at full size. A request holds whole cells, at least as many
+// nodes as it asks for.
+func (pl *torusPlan) FreeNow(int) int {
+	free := 0
+	for _, ivs := range pl.busy {
+		held := false
+		for _, iv := range ivs {
+			if iv.from <= pl.now && pl.now < iv.to {
+				held = true
+				break
+			}
+		}
+		if !held {
+			free++
+		}
+	}
+	return free * pl.m.perMP
+}
+
 // EarliestStart implements Plan.
 func (pl *torusPlan) EarliestStart(nodes int, walltime units.Duration) (units.Time, int) {
 	if walltime <= 0 || !pl.m.CanFitEver(nodes) {
