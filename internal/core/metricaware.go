@@ -7,7 +7,6 @@ import (
 
 	"amjs/internal/invariant"
 	"amjs/internal/job"
-	"amjs/internal/machine"
 	"amjs/internal/sched"
 	"amjs/internal/units"
 )
@@ -345,7 +344,7 @@ func (s *MetricAware) Schedule(env sched.Env) {
 				s.last.Quiescent = false
 				s.last.Horizon = max(s.last.Horizon, j.Submit)
 			}
-			recyclePlan(env.Machine(), plan)
+			sched.RecyclePlan(env.Machine(), plan)
 			return
 		}
 	}
@@ -486,7 +485,7 @@ func (s *MetricAware) Schedule(env sched.Env) {
 	}
 
 	s.blockedBuf = blocked[:0]
-	recyclePlan(env.Machine(), plan)
+	sched.RecyclePlan(env.Machine(), plan)
 
 	// Close the pass horizon (sched.PassReport). Windows past the last
 	// acted-on one committed nothing — every job there probed blocked or
@@ -505,14 +504,6 @@ func (s *MetricAware) Schedule(env sched.Env) {
 				s.last.Horizon = j.Submit
 			}
 		}
-	}
-}
-
-// recyclePlan hands a finished pass's plan back to the machine's pool
-// when the machine keeps one (see machine.PlanRecycler).
-func recyclePlan(m machine.Machine, pl machine.Plan) {
-	if r, ok := m.(machine.PlanRecycler); ok {
-		r.Recycle(pl)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 
 // maxPermWindow bounds the window permutation search. The paper
 // evaluates W up to 5; the bound is set two higher so the adaptive
-// tuner and sweep tools have headroom to explore past the paper's grid.
+// tuner and policy specs have headroom to explore past the paper's grid.
 // 7 is where the worst case stops being cheap: branch-and-bound prunes
 // most of the 7! = 5040 orderings in practice, but the tree grows
 // factorially and W=8 would admit pathological windows two orders of

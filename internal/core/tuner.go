@@ -43,7 +43,6 @@ func (t Tunable) String() string {
 // joint (BF, W) proposal instead of a direction.
 type Monitor interface {
 	Direction(env sched.Env, m sched.MetricsView) int
-	Describe() string
 }
 
 // QueueDepthMonitor watches the queue-depth metric (the sum of the
@@ -64,11 +63,6 @@ func (q QueueDepthMonitor) Direction(_ sched.Env, m sched.MetricsView) int {
 	return +1
 }
 
-// Describe implements Monitor.
-func (q QueueDepthMonitor) Describe() string {
-	return fmt.Sprintf("queue-depth>=%.0fmin", q.ThresholdMinutes)
-}
-
 // UtilTrendMonitor watches the utilization trend, comparing a short
 // rolling average against a long one — the paper's stock-ticker rule
 // with 10-hour and 24-hour windows. When the short average dips below
@@ -85,11 +79,6 @@ func (u UtilTrendMonitor) Direction(_ sched.Env, m sched.MetricsView) int {
 		return +1
 	}
 	return -1
-}
-
-// Describe implements Monitor.
-func (u UtilTrendMonitor) Describe() string {
-	return fmt.Sprintf("util(%dh)<util(%dh)", u.Short/units.Hour, u.Long/units.Hour)
 }
 
 // Scheme is one configured instance of the paper's adaptive tuple
@@ -111,19 +100,6 @@ func PaperBFScheme(thresholdMinutes float64) Scheme {
 	return Scheme{
 		Target:  TunableBF,
 		Initial: 1, Delta: 0.5, Min: 0.5, Max: 1,
-		Monitor: QueueDepthMonitor{ThresholdMinutes: thresholdMinutes},
-	}
-}
-
-// FineBFScheme is a fine-grained variant of the balance-factor scheme:
-// instead of toggling between 1 and 0.5, BF walks in steps of delta
-// within [0.5, 1] as the queue depth crosses the threshold — the
-// "fine-grained tuning" §II contrasts with dynP's coarse policy
-// switching. With delta = 0.5 it degenerates to PaperBFScheme.
-func FineBFScheme(thresholdMinutes, delta float64) Scheme {
-	return Scheme{
-		Target:  TunableBF,
-		Initial: 1, Delta: delta, Min: 0.5, Max: 1,
 		Monitor: QueueDepthMonitor{ThresholdMinutes: thresholdMinutes},
 	}
 }
@@ -185,12 +161,6 @@ func NewTuner(schemes ...Scheme) *Tuner {
 	for _, s := range schemes {
 		if err := s.Validate(); err != nil {
 			panic(err.Error())
-		}
-		if p, ok := s.Monitor.(*whatif.Planner); ok {
-			// A what-if scheme seeds both tunables at once.
-			cfg := p.Config()
-			base.BF, base.W = cfg.InitialBF, cfg.InitialW
-			continue
 		}
 		applyTunable(base, s.Target, s.Initial)
 	}

@@ -14,13 +14,13 @@ import (
 // tuner, NewTuner(PaperBFScheme(1000), WhatIf(p)) layers a shadow or
 // active planner over the paper's queue-depth rule.
 //
-// The Target/Delta/Min/Max fields exist only to satisfy Scheme
-// validation; the joint-proposal path never consults them.
+// The Target/Initial/Delta/Min/Max fields exist only to satisfy Scheme
+// validation (Initial 1 is where NewTuner starts BF anyway); the
+// joint-proposal path never consults them.
 func WhatIf(p *whatif.Planner) Scheme {
-	cfg := p.Config()
 	return Scheme{
 		Target:  TunableBF,
-		Initial: cfg.InitialBF,
+		Initial: 1,
 		Delta:   1, Min: 0, Max: 1,
 		Monitor: p,
 	}

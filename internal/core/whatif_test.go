@@ -119,14 +119,6 @@ func TestWhatIfSchemeJointCommit(t *testing.T) {
 	}
 }
 
-func TestWhatIfInitialTunablesApplied(t *testing.T) {
-	p := whatif.NewPlanner(whatif.Config{InitialBF: 0.75, InitialW: 2})
-	tu := NewTuner(WhatIf(p))
-	if bf, w := tu.Tunables(); bf != 0.75 || w != 2 {
-		t.Errorf("tunables (%g,%d), want the planner's initial (0.75,2)", bf, w)
-	}
-}
-
 func TestWhatIfStatusReporter(t *testing.T) {
 	tu := NewTuner(WhatIf(whatif.NewPlanner(whatif.Config{
 		BFGrid: []float64{0.5, 1}, WGrid: []int{1},

@@ -85,14 +85,6 @@ func (q *Queue[T]) Clone() *Queue[T] {
 	return c
 }
 
-// Remap applies f to every pending payload, in place. The simulator uses
-// it after cloning to point payloads at the cloned jobs.
-func (q *Queue[T]) Remap(f func(T) T) {
-	for i := range q.h {
-		q.h[i].Payload = f(q.h[i].Payload)
-	}
-}
-
 type itemHeap[T any] []Item[T]
 
 func (h itemHeap[T]) less(i, j int) bool {

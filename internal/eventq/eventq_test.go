@@ -76,18 +76,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestRemap(t *testing.T) {
-	var q Queue[int]
-	q.Push(1, 0, 1)
-	q.Push(2, 0, 2)
-	q.Remap(func(v int) int { return v * 10 })
-	a, _ := q.Pop()
-	b, _ := q.Pop()
-	if a.Payload != 10 || b.Payload != 20 {
-		t.Fatalf("Remap wrong: %d %d", a.Payload, b.Payload)
-	}
-}
-
 func TestPopSortedProperty(t *testing.T) {
 	f := func(times []int16) bool {
 		var q Queue[int]

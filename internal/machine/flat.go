@@ -110,18 +110,14 @@ func (f *Flat) Release(a Alloc, _ units.Time) {
 }
 
 // Clone implements Machine.
-func (f *Flat) Clone() Machine {
-	return &Flat{total: f.total, busy: f.busy, used: f.used,
-		slots: slices.Clone(f.slots), free: slices.Clone(f.free)}
-}
+func (f *Flat) Clone() Machine { return f.CloneInto(nil) }
 
-// CloneInto implements InPlaceCloner (see the interface contract): the
-// allocation table is copied into dst's slices when dst is a retired
-// clone of the same size.
+// CloneInto implements Machine: the allocation table is copied into
+// dst's slices when dst is a retired clone of the same size.
 func (f *Flat) CloneInto(dst Machine) Machine {
 	d, ok := dst.(*Flat)
 	if !ok || d == f || d.total != f.total {
-		return f.Clone()
+		d = &Flat{total: f.total}
 	}
 	d.busy, d.used = f.busy, f.used
 	d.slots = append(d.slots[:0], f.slots...)

@@ -167,27 +167,3 @@ func TestFlatReleaseInvalidHandlePanics(t *testing.T) {
 		t.Fatalf("machine not drained: busy=%d running=%d", m.BusyNodes(), m.RunningCount())
 	}
 }
-
-// A CloneInto target shares no storage with its source: mutating either
-// afterwards leaves the other untouched.
-func TestFlatCloneIntoIndependent(t *testing.T) {
-	src, dst := NewFlat(20), NewFlat(20)
-	a, _ := src.TryStart(1, 5, 0, 100)
-	dst.TryStart(9, 7, 0, 100) // stale content the copy must overwrite
-	if src.CloneInto(dst) != dst {
-		t.Fatal("CloneInto did not reuse its target")
-	}
-	b, _ := dst.TryStart(2, 3, 0, 50)
-	src.Release(a, 10)
-	if src.BusyNodes() != 0 || src.RunningCount() != 0 {
-		t.Errorf("source saw the target's start: busy=%d running=%d", src.BusyNodes(), src.RunningCount())
-	}
-	if dst.BusyNodes() != 8 || dst.RunningCount() != 2 {
-		t.Errorf("target saw the source's release: busy=%d running=%d", dst.BusyNodes(), dst.RunningCount())
-	}
-	dst.Release(a, 10)
-	dst.Release(b, 10)
-	if dst.BusyNodes() != 0 {
-		t.Errorf("target not drained: busy=%d", dst.BusyNodes())
-	}
-}

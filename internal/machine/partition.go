@@ -371,30 +371,23 @@ func (p *Partition) Release(a Alloc, _ units.Time) {
 }
 
 // Clone implements Machine.
-func (p *Partition) Clone() Machine {
-	c := &Partition{
-		midplanes: p.midplanes, perMP: p.perMP, mpShift: p.mpShift, maxPow2: p.maxPow2,
-		lastMask: p.lastMask,
-		nextID:   p.nextID, used: p.used, busyMPs: p.busyMPs, minBusy: p.minBusy,
-		bits:     append([]uint64(nil), p.bits...),
-		rel:      append([]units.Time(nil), p.rel...),
-		classOff: p.classOff, // geometry: never written after NewPartition
-		allocs:   make(map[Alloc]partAlloc, len(p.allocs)),
-	}
-	for k, v := range p.allocs {
-		c.allocs[k] = v
-	}
-	return c
-}
+func (p *Partition) Clone() Machine { return p.CloneInto(nil) }
 
-// CloneInto implements InPlaceCloner: the occupancy state lands in
-// dst's storage when dst is a retired clone of the same geometry. The
+// CloneInto implements Machine: the occupancy state lands in dst's
+// storage when dst is a retired clone of the same geometry. The
 // destination keeps its own plan pool — its pooled planners point at
 // it and remain reusable across re-clones.
 func (p *Partition) CloneInto(dst Machine) Machine {
 	d, ok := dst.(*Partition)
 	if !ok || d == p || d.midplanes != p.midplanes || d.perMP != p.perMP {
-		return p.Clone()
+		d = &Partition{
+			midplanes: p.midplanes, perMP: p.perMP, mpShift: p.mpShift, maxPow2: p.maxPow2,
+			lastMask: p.lastMask,
+			classOff: p.classOff, // geometry: never written after NewPartition
+			bits:     make([]uint64, len(p.bits)),
+			rel:      make([]units.Time, len(p.rel)),
+			allocs:   make(map[Alloc]partAlloc, len(p.allocs)),
+		}
 	}
 	d.nextID, d.used, d.busyMPs, d.minBusy = p.nextID, p.used, p.busyMPs, p.minBusy
 	copy(d.bits, p.bits)

@@ -267,17 +267,28 @@ func (t *Torus) Release(a Alloc, _ units.Time) {
 }
 
 // Clone implements Machine.
-func (t *Torus) Clone() Machine {
-	c := &Torus{
-		x: t.x, y: t.y, z: t.z, perMP: t.perMP,
-		nextID: t.nextID, used: t.used,
-		busy:   append([]bool(nil), t.busy...),
-		allocs: make(map[Alloc]torusAlloc, len(t.allocs)),
+func (t *Torus) Clone() Machine { return t.CloneInto(nil) }
+
+// CloneInto implements Machine: the occupancy state lands in dst's
+// storage when dst is a retired clone of the same geometry. An
+// allocation's cell list is never written after its start, so the
+// clones share it.
+func (t *Torus) CloneInto(dst Machine) Machine {
+	d, ok := dst.(*Torus)
+	if !ok || d == t || d.x != t.x || d.y != t.y || d.z != t.z || d.perMP != t.perMP {
+		d = &Torus{
+			x: t.x, y: t.y, z: t.z, perMP: t.perMP,
+			busy:   make([]bool, len(t.busy)),
+			allocs: make(map[Alloc]torusAlloc, len(t.allocs)),
+		}
 	}
+	d.nextID, d.used = t.nextID, t.used
+	copy(d.busy, t.busy)
+	clear(d.allocs)
 	for k, v := range t.allocs {
-		c.allocs[k] = v
+		d.allocs[k] = v
 	}
-	return c
+	return d
 }
 
 // Plan implements Machine: per-midplane busy timelines, as in the 1-D

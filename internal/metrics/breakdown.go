@@ -105,13 +105,6 @@ func WaitByUser(jobs []*job.Job, topN int) []ClassStat {
 	}, order)
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // breakdown groups jobs by class and summarizes their waits in minutes,
 // keeping the given class order and dropping empty classes.
 func breakdown(jobs []*job.Job, class func(*job.Job) string, order []string) []ClassStat {

@@ -55,12 +55,6 @@ func (s *Source) Exp(mean float64) float64 {
 	return s.r.ExpFloat64() * mean
 }
 
-// Norm returns a normally distributed value with the given mean and
-// standard deviation.
-func (s *Source) Norm(mean, stddev float64) float64 {
-	return s.r.NormFloat64()*stddev + mean
-}
-
 // LogNormal returns a log-normally distributed value where the
 // underlying normal has mean mu and standard deviation sigma.
 func (s *Source) LogNormal(mu, sigma float64) float64 {

@@ -85,7 +85,7 @@ func (d *DynP) estimateAvgWait(env Env, order Order, queue []*job.Job) float64 {
 		total += float64(j.WaitAt(ts))
 		n++
 	}
-	recyclePlan(env.Machine(), plan)
+	RecyclePlan(env.Machine(), plan)
 	if n == 0 {
 		return 0
 	}

@@ -163,7 +163,7 @@ func backfill(env Env, queue []*job.Job, depth int, stopAtBlocked bool, started 
 			depth--
 		}
 	}
-	recyclePlan(env.Machine(), plan)
+	RecyclePlan(env.Machine(), plan)
 }
 
 // scheduleRelaxed is the relaxed-backfilling pass: the protected
@@ -204,5 +204,5 @@ func (r *Reserving) scheduleRelaxed(env Env, queue []*job.Job) {
 			free.Commit(j.Nodes, now, j.Walltime, hint)
 		}
 	}
-	recyclePlan(env.Machine(), free)
+	RecyclePlan(env.Machine(), free)
 }

@@ -183,10 +183,10 @@ type PassReport struct {
 	Untuned bool
 }
 
-// recyclePlan hands a finished pass's plan back to the machine's pool
+// RecyclePlan hands a finished pass's plan back to the machine's pool
 // when the machine keeps one (see machine.PlanRecycler). The plan must
 // not be used after the call.
-func recyclePlan(m machine.Machine, pl machine.Plan) {
+func RecyclePlan(m machine.Machine, pl machine.Plan) {
 	if r, ok := m.(machine.PlanRecycler); ok {
 		r.Recycle(pl)
 	}

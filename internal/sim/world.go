@@ -44,9 +44,9 @@ type passBegin struct {
 // inPlaceCloner is implemented by schedulers that can clone themselves
 // into a retired instance of the same type, which keeps its own scratch
 // buffers (core.MetricAware and core.Tuner do) — the scheduler
-// counterpart of machine.InPlaceCloner. A nil or mistyped dst gets a
-// plain Clone. It stays optional because only those two hold scratch
-// worth keeping: List and Reserving hold none, so a plain Clone is
+// counterpart of Machine.CloneInto. A nil or mistyped dst gets a plain
+// Clone. It stays optional because only those two hold scratch worth
+// keeping: the sched package's policies hold none, so a plain Clone is
 // already all they need.
 type inPlaceCloner interface {
 	CloneInto(dst sched.Scheduler) sched.Scheduler
@@ -82,7 +82,7 @@ func (w *world) fork(parent *engine, s sched.Scheduler, queueView []*job.Job, cu
 	sub.cfg = parent.cfg
 	sub.cfg.Trace = nil // nested runs never touch the trace path
 	sub.now = parent.now
-	sub.machine = machine.CloneMachineInto(parent.machine, sub.machine)
+	sub.machine = parent.machine.CloneInto(sub.machine)
 	for _, pb := range begun {
 		sub.machine.Release(pb.a, parent.now)
 	}

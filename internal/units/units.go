@@ -6,11 +6,7 @@
 // simulations bit-for-bit reproducible across platforms.
 package units
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-)
+import "fmt"
 
 // Time is an absolute instant in simulated time, in seconds since the
 // workload epoch.
@@ -126,33 +122,3 @@ func (d Duration) String() string {
 
 // String renders the instant as the duration since the epoch.
 func (t Time) String() string { return Duration(t).String() }
-
-// ParseDuration parses either a plain integer number of seconds or a
-// batch-style [h:]mm:ss / h:mm:ss walltime string.
-func ParseDuration(s string) (Duration, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return 0, fmt.Errorf("units: empty duration")
-	}
-	neg := false
-	if s[0] == '-' {
-		neg = true
-		s = s[1:]
-	}
-	parts := strings.Split(s, ":")
-	if len(parts) > 3 {
-		return 0, fmt.Errorf("units: malformed duration %q", s)
-	}
-	var total Duration
-	for _, p := range parts {
-		v, err := strconv.ParseInt(p, 10, 64)
-		if err != nil || v < 0 {
-			return 0, fmt.Errorf("units: malformed duration %q", s)
-		}
-		total = total*60 + Duration(v)
-	}
-	if neg {
-		total = -total
-	}
-	return total, nil
-}

@@ -1,9 +1,6 @@
 package units
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestArithmetic(t *testing.T) {
 	var base Time = 100
@@ -76,48 +73,6 @@ func TestString(t *testing.T) {
 		if got := c.d.String(); got != c.want {
 			t.Errorf("(%d).String() = %q, want %q", c.d, got, c.want)
 		}
-	}
-}
-
-func TestParseDuration(t *testing.T) {
-	ok := []struct {
-		in   string
-		want Duration
-	}{
-		{"0", 0},
-		{"90", 90},
-		{"1:30", 90},
-		{"01:00:00", 3600},
-		{"2:03:04", 2*3600 + 3*60 + 4},
-		{" 45 ", 45},
-		{"-1:00", -60},
-	}
-	for _, c := range ok {
-		got, err := ParseDuration(c.in)
-		if err != nil {
-			t.Errorf("ParseDuration(%q) error: %v", c.in, err)
-			continue
-		}
-		if got != c.want {
-			t.Errorf("ParseDuration(%q) = %d, want %d", c.in, got, c.want)
-		}
-	}
-	bad := []string{"", "a", "1:2:3:4", "1:-2", "::"}
-	for _, in := range bad {
-		if _, err := ParseDuration(in); err == nil {
-			t.Errorf("ParseDuration(%q): expected error", in)
-		}
-	}
-}
-
-func TestParseStringRoundTrip(t *testing.T) {
-	f := func(raw int32) bool {
-		d := Duration(raw)
-		got, err := ParseDuration(d.String())
-		return err == nil && got == d
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

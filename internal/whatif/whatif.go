@@ -124,11 +124,6 @@ type Config struct {
 	// evaluates every candidate, keeping decisions fully deterministic.
 	Budget time.Duration
 
-	// MinGain is the relative score improvement over the incumbent
-	// required to switch settings (hysteresis against flapping).
-	// Default 0: any strict improvement commits.
-	MinGain float64
-
 	// Observe runs the planner in shadow mode: rollouts are evaluated
 	// and logged but nothing is ever committed. The no-leak
 	// differential suite runs a shadow planner alongside the threshold
@@ -138,12 +133,6 @@ type Config struct {
 	// LogCap bounds the retained decision log (a ring, oldest dropped).
 	// Default 32.
 	LogCap int
-
-	// InitialBF and InitialW seed the wrapped policy's tunables before
-	// the first checkpoint. Defaults 1 and 1 (the paper's starting
-	// point for both adaptive schemes).
-	InitialBF float64
-	InitialW  int
 }
 
 // withDefaults resolves the documented defaults.
@@ -160,21 +149,16 @@ func (c Config) withDefaults() Config {
 	if c.LogCap <= 0 {
 		c.LogCap = 32
 	}
-	if c.InitialBF == 0 {
-		c.InitialBF = 1
-	}
-	if c.InitialW == 0 {
-		c.InitialW = 1
-	}
 	return c
 }
 
 // Decision records one checkpoint's what-if outcome: the incumbent and
 // chosen (BF, W) pairs, their scores under the configured objective,
 // the candidate census, and the tick's wall cost. Committed reports
-// whether the chosen pair was actually applied (false for ties kept by
-// hysteresis and always false in Observe mode). WallNS is machine
-// timing and is excluded from cross-engine decision-log comparisons.
+// whether the chosen pair was actually applied (false when the
+// incumbent scores best, ties included, and always false in Observe
+// mode). WallNS is machine timing and is excluded from cross-engine
+// decision-log comparisons.
 type Decision struct {
 	At         units.Time `json:"at"`
 	PrevBF     float64    `json:"prev_bf"`
@@ -279,18 +263,9 @@ func (p *Planner) Config() Config { return p.cfg }
 // daemon applies its -whatif-budget flag to an already-parsed policy).
 func (p *Planner) SetBudget(d time.Duration) { p.cfg.Budget = d }
 
-// SetObserve toggles shadow mode after construction.
-func (p *Planner) SetObserve(on bool) { p.cfg.Observe = on }
-
 // SetWorkers rebounds the rollout fan-out after construction (0 and 1
 // run serially; see Config.Workers).
 func (p *Planner) SetWorkers(n int) { p.cfg.Workers = n }
-
-// Describe implements core.Monitor.
-func (p *Planner) Describe() string {
-	return fmt.Sprintf("whatif(%s,horizon=%dm,grid=%dx%d)",
-		p.cfg.Objective, p.cfg.Horizon/units.Minute, len(p.cfg.BFGrid), len(p.cfg.WGrid))
-}
 
 // Direction implements core.Monitor. The tuner's joint-proposal path
 // supersedes it; it exists only to satisfy the interface and never
@@ -379,19 +354,9 @@ func (p *Planner) Propose(env sched.Env, _ sched.MetricsView, bf float64, w int,
 	}
 
 	chosen := p.pairs[best]
-	commit := best != 0
-	if commit && incValid {
-		gain := incScore - bestScore
-		if gain <= p.cfg.MinGain*abs(incScore) {
-			commit = false
-			chosen = p.pairs[0]
-		}
-	}
+	commit := best != 0 && !p.cfg.Observe
 	if incValid {
 		p.lastDelta = incScore - bestScore
-	}
-	if p.cfg.Observe {
-		commit = false
 	}
 	p.pushDecision(Decision{
 		At:     env.Now(),
@@ -407,13 +372,6 @@ func (p *Planner) Propose(env sched.Env, _ sched.MetricsView, bf float64, w int,
 	}
 	p.commits++
 	return chosen.bf, chosen.w, true
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 func (p *Planner) observeLatency(d time.Duration) {

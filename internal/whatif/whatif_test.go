@@ -67,9 +67,6 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.LogCap != 32 {
 		t.Errorf("default log cap %d", cfg.LogCap)
 	}
-	if cfg.InitialBF != 1 || cfg.InitialW != 1 {
-		t.Errorf("default initial tunables (%g, %d)", cfg.InitialBF, cfg.InitialW)
-	}
 }
 
 // fakeEnv is a minimal Env; fakeLookEnv additionally answers Lookahead
@@ -187,21 +184,6 @@ func TestProposeTieKeepsIncumbent(t *testing.T) {
 	st := p.Status()
 	if st.Commits != 0 || len(st.Decisions) != 1 || st.Decisions[0].Committed {
 		t.Errorf("tie status %+v", st)
-	}
-}
-
-func TestProposeMinGainHysteresis(t *testing.T) {
-	p := NewPlanner(Config{BFGrid: []float64{0.5, 1}, WGrid: []int{1}, MinGain: 0.2})
-	env := &fakeLookEnv{fakeEnv: fakeEnv{queue: []*job.Job{queuedJob()}}}
-	// 10% better than the incumbent — under the 20% gate, no switch.
-	env.scores = []float64{10, 9}
-	if _, _, commit := p.Propose(env, env, 1, 1, mkFactory(t)); commit {
-		t.Error("committed a gain below MinGain")
-	}
-	// 50% better clears the gate.
-	env.scores = []float64{10, 5}
-	if _, _, commit := p.Propose(env, env, 1, 1, mkFactory(t)); !commit {
-		t.Error("refused a gain well above MinGain")
 	}
 }
 

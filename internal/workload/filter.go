@@ -1,9 +1,6 @@
 package workload
 
 import (
-	"fmt"
-	"sort"
-
 	"amjs/internal/job"
 	"amjs/internal/units"
 )
@@ -20,72 +17,4 @@ func Slice(jobs []*job.Job, from, to units.Time) []*job.Job {
 	}
 	Rebase(out)
 	return out
-}
-
-// FilterMaxNodes drops jobs requesting more than maxNodes (cloning the
-// survivors), e.g. to replay a big-machine trace on a smaller model.
-func FilterMaxNodes(jobs []*job.Job, maxNodes int) []*job.Job {
-	var out []*job.Job
-	for _, j := range jobs {
-		if j.Nodes <= maxNodes {
-			out = append(out, j.Clone())
-		}
-	}
-	return out
-}
-
-// ScaleLoad changes the offered load of a trace by scaling every
-// interarrival gap by 1/factor (factor 2 → twice the arrival rate →
-// roughly twice the load). Runtimes and sizes are untouched; submission
-// order is preserved. factor must be positive.
-func ScaleLoad(jobs []*job.Job, factor float64) ([]*job.Job, error) {
-	if factor <= 0 {
-		return nil, fmt.Errorf("workload: non-positive load factor %v", factor)
-	}
-	sorted := job.CloneAll(jobs)
-	sort.Slice(sorted, func(a, b int) bool {
-		if sorted[a].Submit != sorted[b].Submit {
-			return sorted[a].Submit < sorted[b].Submit
-		}
-		return sorted[a].ID < sorted[b].ID
-	})
-	var prevOld, prevNew units.Time
-	for _, j := range sorted {
-		gap := float64(j.Submit - prevOld)
-		prevOld = j.Submit
-		prevNew = prevNew.Add(units.Duration(gap/factor + 0.5))
-		j.Submit = prevNew
-	}
-	Rebase(sorted)
-	return sorted, nil
-}
-
-// SplitByUser groups jobs by submitting user (jobs are shared, not
-// cloned).
-func SplitByUser(jobs []*job.Job) map[string][]*job.Job {
-	out := make(map[string][]*job.Job)
-	for _, j := range jobs {
-		out[j.User] = append(out[j.User], j)
-	}
-	return out
-}
-
-// ArrivalHistogram counts submissions per bucket of the given width
-// from time zero — the quick way to eyeball burstiness and the
-// diurnal cycle.
-func ArrivalHistogram(jobs []*job.Job, bucket units.Duration) []int {
-	if bucket <= 0 || len(jobs) == 0 {
-		return nil
-	}
-	var maxT units.Time
-	for _, j := range jobs {
-		if j.Submit > maxT {
-			maxT = j.Submit
-		}
-	}
-	counts := make([]int, int(maxT/units.Time(bucket))+1)
-	for _, j := range jobs {
-		counts[int(j.Submit/units.Time(bucket))]++
-	}
-	return counts
 }

@@ -35,87 +35,6 @@ func TestSlice(t *testing.T) {
 	}
 }
 
-func TestFilterMaxNodes(t *testing.T) {
-	got := FilterMaxNodes(mkJobs(), 128)
-	if len(got) != 3 {
-		t.Fatalf("FilterMaxNodes kept %d", len(got))
-	}
-	for _, j := range got {
-		if j.Nodes > 128 {
-			t.Errorf("kept %d-node job", j.Nodes)
-		}
-	}
-}
-
-func TestScaleLoad(t *testing.T) {
-	jobs := mkJobs()
-	got, err := ScaleLoad(jobs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Gaps 100,100,100 become 50,50,50 after the first submit rebases to 0.
-	wants := []units.Time{0, 50, 100, 150}
-	for i, j := range got {
-		if j.Submit != wants[i] {
-			t.Errorf("job %d submit = %v, want %v", j.ID, j.Submit, wants[i])
-		}
-	}
-	// Halving the rate doubles the gaps.
-	got, err = ScaleLoad(jobs, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[3].Submit != 600 {
-		t.Errorf("slowdown scale: last submit = %v, want 600", got[3].Submit)
-	}
-	if _, err := ScaleLoad(jobs, 0); err == nil {
-		t.Error("zero factor accepted")
-	}
-	// Original untouched.
-	if jobs[0].Submit != 100 {
-		t.Error("ScaleLoad mutated input")
-	}
-}
-
-func TestScaleLoadChangesOfferedLoad(t *testing.T) {
-	cfg := Mini(5)
-	cfg.MaxJobs = 150
-	jobs, err := cfg.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := Analyze(jobs, 512).OfferedLoad
-	scaled, err := ScaleLoad(jobs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := Analyze(scaled, 512).OfferedLoad
-	if after < before*1.5 {
-		t.Errorf("load %.2f -> %.2f; expected ~2x", before, after)
-	}
-}
-
-func TestSplitByUser(t *testing.T) {
-	groups := SplitByUser(mkJobs())
-	if len(groups) != 3 || len(groups["a"]) != 2 || len(groups["c"]) != 1 {
-		t.Errorf("SplitByUser wrong: %v", groups)
-	}
-}
-
-func TestArrivalHistogram(t *testing.T) {
-	h := ArrivalHistogram(mkJobs(), 150)
-	// Buckets: [0,150):1, [150,300):1, [300,450):2
-	if len(h) != 3 || h[0] != 1 || h[1] != 1 || h[2] != 2 {
-		t.Errorf("histogram = %v", h)
-	}
-	if ArrivalHistogram(nil, 100) != nil {
-		t.Error("empty histogram not nil")
-	}
-	if ArrivalHistogram(mkJobs(), 0) != nil {
-		t.Error("zero bucket not nil")
-	}
-}
-
 // The generator's diurnal cycle must produce more daytime than
 // nighttime arrivals, and the weekend factor must thin days 6–7.
 func TestGeneratorCycles(t *testing.T) {
