@@ -23,7 +23,7 @@ import (
 
 func main() {
 	var (
-		machineSpec  = flag.String("machine", "intrepid", "machine model: intrepid, flat:N, partition:MxK")
+		machineSpec  = flag.String("machine", "intrepid", "machine model: "+strings.Join(cli.MachineSpecs, ", "))
 		workloadSpec = flag.String("workload", "intrepid", "workload: intrepid, intrepid-heavy, mini, swf:PATH")
 		policySpec   = flag.String("policy", "easy", "policy: "+strings.Join(cli.PolicySpecs, ", "))
 		seed         = flag.Int64("seed", 42, "workload generator seed")

@@ -34,7 +34,7 @@ import (
 
 func main() {
 	var (
-		machines   = flag.String("machines", "intrepid", "comma-separated machine specs: intrepid, flat:N, partition:MxK, torus:XxYxZxK")
+		machines   = flag.String("machines", "intrepid", "comma-separated machine specs: "+strings.Join(cli.MachineSpecs, ", "))
 		workloads  = flag.String("workloads", "intrepid,intrepid-heavy", "comma-separated workloads: intrepid, intrepid-heavy, mini, swf:PATH")
 		seeds      = flag.String("seeds", "42", "comma-separated workload generator seeds")
 		policies   = flag.String("policies", "tournament", `policy list: "tournament" (the default zoo) or comma-separated policy specs`)

@@ -68,7 +68,7 @@ func run(ctx context.Context, args []string, announce io.Writer) error {
 	fs := flag.NewFlagSet("amjsd", flag.ContinueOnError)
 	var (
 		addr        = fs.String("addr", "127.0.0.1:8080", "listen address")
-		machineSpec = fs.String("machine", "intrepid", "machine model: intrepid, flat:N, partition:MxK")
+		machineSpec = fs.String("machine", "intrepid", "machine model: "+strings.Join(cli.MachineSpecs, ", "))
 		policySpec  = fs.String("policy", "easy", "policy: "+strings.Join(cli.PolicySpecs, ", "))
 		speedupSpec = fs.String("speedup", "60", "virtual seconds per wall second, or \"inf\" for batch semantics")
 		period      = fs.Duration("period", 10*time.Second, "scheduling pass period in virtual time (0 = event-driven)")

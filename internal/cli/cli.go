@@ -17,6 +17,12 @@ import (
 	"amjs/internal/workload"
 )
 
+// MachineSpecs enumerates every accepted machine spec shape, in the
+// order the ParseMachine documentation lists them. Unknown-machine
+// errors and command-line usage strings are built from it so the two
+// can never drift apart.
+var MachineSpecs = []string{"intrepid", "intrepid-torus", "flat:N", "partition:MxK", "torus:XxYxZxK"}
+
 // ParseMachine builds a machine model from a spec:
 //
 //	intrepid          the paper's Blue Gene/P (80 midplanes x 512 nodes)
@@ -62,7 +68,7 @@ func ParseMachine(spec string) (machine.Machine, error) {
 		}
 		return machine.NewPartition(m, k), nil
 	default:
-		return nil, fmt.Errorf("cli: unknown machine %q (intrepid, flat:N, partition:MxK)", spec)
+		return nil, fmt.Errorf("cli: unknown machine %q (%s)", spec, strings.Join(MachineSpecs, ", "))
 	}
 }
 

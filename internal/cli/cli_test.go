@@ -35,6 +35,18 @@ func TestParseMachine(t *testing.T) {
 	}
 }
 
+func TestParseMachineUnknownEnumeratesSpecs(t *testing.T) {
+	_, err := ParseMachine("nonsense")
+	if err == nil {
+		t.Fatal("nonsense machine accepted")
+	}
+	for _, doc := range MachineSpecs {
+		if !strings.Contains(err.Error(), doc) {
+			t.Errorf("unknown-machine error omits %q: %v", doc, err)
+		}
+	}
+}
+
 func TestParseWorkloadPresets(t *testing.T) {
 	for _, spec := range []string{"intrepid", "intrepid-heavy", "mini", ""} {
 		jobs, name, err := ParseWorkload(spec, 1, 50)

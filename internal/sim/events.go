@@ -9,9 +9,9 @@ import (
 )
 
 // eventQueue is the engine's pending-event set: a binary heap for
-// completions, ticks and checkpoints, and a FIFO for arrivals. Every
-// producer injects arrivals in nondecreasing submit order (Run sorts its
-// trace; RunStream and Live require sorted submissions), so the FIFO is
+// completions, ticks and checkpoints, and a FIFO for arrivals. Arrivals
+// are pushed by engine.admit alone, which holds them to nondecreasing
+// submit order (Run sorts its trace first), so the FIFO is
 // already in the (Time, Seq) order the heap would impose on them, and a
 // 100k-job burst at one instant costs a slice append per job instead of
 // a heap sift. Peek and Pop merge the two heads on (Time, Kind); the heap

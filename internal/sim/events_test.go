@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"amjs/internal/eventq"
@@ -144,6 +145,58 @@ func TestRunShuffledTraceMatchesSorted(t *testing.T) {
 	}
 	if !bytes.Equal(aTrace, bTrace) {
 		t.Error("shuffled trace processed events in a different order from the sorted trace")
+	}
+}
+
+// Run hands back Result.Jobs and Result.Rejected in input order however
+// it orders arrivals, and rejects an invalid job by its input index
+// before it simulates anything.
+func TestRunKeepsInputOrder(t *testing.T) {
+	jobs := diffTrace(t, 11, 120)
+	for i, j := range jobs {
+		j.ID = 1000 + i // IDs unlike input positions
+		j.Submit = j.Submit / 3600 * 3600
+		if i%17 == 5 {
+			j.Nodes = 4096 // never fits the 512-node machine
+		}
+	}
+	rng.New(11).Shuffle(len(jobs), func(i, k int) { jobs[i], jobs[k] = jobs[k], jobs[i] })
+	var wantJobs, wantRejected []int
+	for _, j := range jobs {
+		if j.Nodes > 512 {
+			wantRejected = append(wantRejected, j.ID)
+		} else {
+			wantJobs = append(wantJobs, j.ID)
+		}
+	}
+	ids := func(js []*job.Job) []int {
+		var out []int
+		for _, j := range js {
+			out = append(out, j.ID)
+		}
+		return out
+	}
+	cfg := Config{Machine: machine.NewFlat(512), Scheduler: sched.NewEASY(), Paranoid: true}
+	res := run(t, cfg, jobs)
+	if got := ids(res.Jobs); !slices.Equal(got, wantJobs) {
+		t.Errorf("Result.Jobs IDs %v, want input order %v", got, wantJobs)
+	}
+	if got := ids(res.Rejected); len(wantRejected) == 0 || !slices.Equal(got, wantRejected) {
+		t.Errorf("Result.Rejected IDs %v, want input order %v", got, wantRejected)
+	}
+
+	bad := slices.Clone(jobs)
+	broken := *bad[7]
+	broken.Runtime = broken.Walltime + 1
+	bad[7] = &broken
+	var trace bytes.Buffer
+	cfg.Trace = &trace
+	_, err := Run(cfg, bad)
+	if err == nil || !strings.HasPrefix(err.Error(), "sim: job 7: ") {
+		t.Errorf("invalid job at index 7: error %v, want one naming index 7", err)
+	}
+	if trace.Len() != 0 {
+		t.Errorf("invalid trace simulated before failing:\n%s", trace.String())
 	}
 }
 

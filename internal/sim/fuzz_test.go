@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"amjs/internal/core"
@@ -10,7 +11,6 @@ import (
 	"amjs/internal/sched"
 	"amjs/internal/units"
 	"amjs/internal/whatif"
-	"amjs/internal/workload"
 )
 
 // fuzzConfig decodes the fuzz input's 5-byte header into an engine
@@ -94,8 +94,10 @@ func fuzzJobs(data []byte, max int) []*job.Job {
 
 // FuzzSchedule feeds fuzzer-constructed workloads through the engine
 // with the full validity oracle armed. Any invariant violation fails
-// Run itself; on top of that, the streamed engine must reproduce the
-// batch engine byte for byte on the same input.
+// Run itself; on top of that, a Live session that submits each job and
+// then drains must reproduce Run byte for byte on the same input: Run
+// replays its trace through the streaming pump, so Live is the intake
+// independent of it.
 func FuzzSchedule(f *testing.F) {
 	f.Add([]byte("\x00\x00\x00\x00\x00" + "\x00\x3f\x10\x00" + "\x05\x7f\x20\x01"))
 	f.Add([]byte("\x01\x01\x01\x01\x01" + "\x00\xff\x30\x02" + "\x00\x1f\x08\x00" + "\x14\x0f\x40\x03"))
@@ -149,24 +151,35 @@ func FuzzSchedule(f *testing.F) {
 			t.Fatalf("Run: %v", err)
 		}
 
-		var streamTrace bytes.Buffer
-		cfg.Trace = &streamTrace
-		got, err := RunStream(cfg, workload.SliceSource(jobs), nil)
+		var liveTrace bytes.Buffer
+		cfg.Trace = &liveTrace
+		l, err := NewLive(cfg, false)
 		if err != nil {
-			t.Fatalf("RunStream: %v", err)
+			t.Fatalf("NewLive: %v", err)
 		}
+		rejected := 0
+		for _, j := range jobs {
+			if _, err := l.Submit(j); errors.Is(err, ErrRejected) {
+				rejected++
+			} else if err != nil {
+				t.Fatalf("submit job %d: %v", j.ID, err)
+			}
+		}
+		if err := l.Drain(); err != nil {
+			t.Fatalf("Drain: %v", err)
+		}
+		got := &Result{}
+		l.Each(func(j *job.Job) { got.Jobs = append(got.Jobs, j) })
 		if scheduleHash(got) != scheduleHash(want) {
-			t.Fatal("streamed schedule differs from batch schedule")
+			t.Fatal("live schedule differs from batch schedule")
 		}
-		if got.Makespan != want.Makespan ||
-			got.AcceptedCount != want.AcceptedCount ||
-			got.RejectedCount != want.RejectedCount {
-			t.Fatalf("stream census %d/%d span %v, batch %d/%d span %v",
-				got.AcceptedCount, got.RejectedCount, got.Makespan,
-				want.AcceptedCount, want.RejectedCount, want.Makespan)
+		if l.Accepted() != want.AcceptedCount || rejected != want.RejectedCount ||
+			l.Rejected() != want.RejectedCount {
+			t.Fatalf("live census %d/%d (session counts %d rejected), batch %d/%d",
+				l.Accepted(), rejected, l.Rejected(), want.AcceptedCount, want.RejectedCount)
 		}
-		if !bytes.Equal(streamTrace.Bytes(), batchTrace.Bytes()) {
-			t.Fatal("streamed event trace differs from batch trace")
+		if !bytes.Equal(liveTrace.Bytes(), batchTrace.Bytes()) {
+			t.Fatal("live event trace differs from batch trace")
 		}
 	})
 }

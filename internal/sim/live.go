@@ -5,8 +5,9 @@
 // amjsd daemon hosts behind its HTTP API.
 //
 // Equivalence with the batch engine is by construction, not
-// reimplementation: Live shares engine.step with Run, and its Submit
-// path reproduces RunStream's injection contract (every arrival at an
+// reimplementation: Live shares engine.step with Run, and Submit
+// admits through engine.admit, the step Run and RunStream's pump use,
+// before the engine processes the submit instant (every arrival at an
 // instant T is in the event queue before T is drained, in submission
 // order). A session of Submit calls followed by Drain therefore yields
 // the bit-identical schedule Run produces on the collected trace — the
@@ -25,26 +26,14 @@ import (
 )
 
 // ErrRejected marks a submission whose node request can never be
-// satisfied by the machine, matching the batch engine's screening of
-// impossible jobs at arrival.
+// satisfied by the machine (see engine.admit).
 var ErrRejected = errors.New("sim: job can never fit the machine")
 
 // Live is one open scheduling session. It is not safe for concurrent
 // use; callers (the daemon) serialize access.
 type Live struct {
-	e    *engine
-	jobs job.IDTable[*job.Job] // accepted jobs by ID, pointing into slab
-
-	// slab holds the engine's copies of the accepted jobs in submission
-	// order, liveChunk to a chunk. A chunk is never reallocated, so the
-	// pointers the engine and the ID table hold stay valid.
-	slab [][]job.Job
-
-	lastSubmit units.Time
-	haveAny    bool
-
-	accepted  int
-	rejected  int
+	e         *engine
+	jobs      job.IDTable[*job.Job] // accepted jobs by ID, pointing into the engine's slab
 	cancelled int
 
 	// The availability plan PredictStart answers from, built from the
@@ -87,71 +76,33 @@ func NewLive(cfg Config, lean bool) (*Live, error) {
 	return &Live{e: e}, nil
 }
 
-// liveChunk is the slab's chunk size in jobs.
-const liveChunk = 1024
-
-// keep copies an admitted job into the slab and returns the copy.
-func (l *Live) keep(src *job.Job) *job.Job {
-	last := len(l.slab) - 1
-	if last < 0 || len(l.slab[last]) == liveChunk {
-		l.slab = append(l.slab, make([]job.Job, 0, liveChunk))
-		last++
-	}
-	l.slab[last] = append(l.slab[last], *src)
-	return &l.slab[last][len(l.slab[last])-1]
-}
-
 // Submit accepts a job into the session. The job is copied once it is
 // admitted; the caller's copy is not mutated. It must carry a unique ID
 // in 1..job.MaxID and a submit time no earlier than the last
 // submission's and no earlier than the last processed instant — the
 // nondecreasing-submit contract every trace source already obeys.
-// Submit advances the engine through every instant strictly before the
-// job's submit time (so the arrival lands in the event queue before its
-// own instant is drained, exactly as RunStream injects), then enqueues
-// the arrival; the instant itself is processed by a later Submit,
-// AdvanceTo, or Drain.
+// Submit enqueues the arrival, then advances the engine through every
+// instant strictly before the job's submit time; the instant itself is
+// processed by a later Submit, AdvanceTo, or Drain.
 //
 // The returned job is the engine's live copy: its State/Start/End
 // fields update as the session progresses. ErrRejected reports a
 // request that can never fit the machine.
 func (l *Live) Submit(src *job.Job) (*job.Job, error) {
-	if err := src.Validate(); err != nil {
-		return nil, fmt.Errorf("sim: submitted job: %w", err)
-	}
 	if src.ID > job.MaxID {
 		return nil, fmt.Errorf("sim: job ID %d above %d", src.ID, job.MaxID)
 	}
 	if l.jobs.Get(src.ID) != nil {
 		return nil, fmt.Errorf("sim: duplicate job ID %d", src.ID)
 	}
-	if l.haveAny && src.Submit < l.lastSubmit {
-		return nil, fmt.Errorf("sim: job %d submits at %v, before the previous submission at %v",
-			src.ID, src.Submit, l.lastSubmit)
-	}
-	if src.Submit < l.e.now {
-		return nil, fmt.Errorf("sim: job %d submits at %v, before the processed horizon %v",
-			src.ID, src.Submit, l.e.now)
-	}
-	if !l.e.machine.CanFitEver(src.Nodes) {
-		l.rejected++
-		return nil, ErrRejected
-	}
-	if err := l.advance(src.Submit, false); err != nil {
+	j, err := l.e.admit(src)
+	if err != nil {
 		return nil, err
 	}
-	if l.e.events.Len() == 0 {
-		// First submission ever, or the first after a Drain wound the
-		// grids down: anchor the grids at this submission, as the batch
-		// engine does at its first accepted job.
-		l.e.anchorGrids(src.Submit)
-	}
-	j := l.keep(src)
-	j.State = job.Submitted
-	l.e.events.PushArrival(j)
 	l.jobs.Set(j.ID, j)
-	l.lastSubmit, l.haveAny = j.Submit, true
-	l.accepted++
+	if err := l.advance(j.Submit, false); err != nil {
+		return nil, err
+	}
 	return j, nil
 }
 
@@ -242,7 +193,7 @@ func (l *Live) Job(id int) (*job.Job, bool) {
 // Each calls fn on every accepted job in submission order. The jobs are
 // the engine's live copies; treat them as read-only.
 func (l *Live) Each(fn func(j *job.Job)) {
-	for _, chunk := range l.slab {
+	for _, chunk := range l.e.in.slab {
 		for i := range chunk {
 			fn(&chunk[i])
 		}
@@ -322,8 +273,8 @@ func (l *Live) PredictStart(id int) (units.Time, bool) {
 }
 
 // Accepted, Rejected, and Cancelled report the session's job census.
-func (l *Live) Accepted() int  { return l.accepted }
-func (l *Live) Rejected() int  { return l.rejected }
+func (l *Live) Accepted() int  { return l.e.in.accepted }
+func (l *Live) Rejected() int  { return l.e.in.rejected }
 func (l *Live) Cancelled() int { return l.cancelled }
 
 // PolicyName reports the hosted scheduler's configured name.

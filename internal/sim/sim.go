@@ -145,8 +145,17 @@ func (e *engine) whatIfStatus() *whatif.Status {
 }
 
 // Run simulates the workload under the configuration. The input jobs
-// are cloned; the caller's slice is not modified.
+// are cloned; the caller's slice is not modified. Arrivals enter in
+// submit order, ties in input order (a stable sort); Result.Jobs and
+// Result.Rejected keep input order.
 func Run(cfg Config, jobs []*job.Job) (*Result, error) {
+	// Validate the whole trace before simulating any of it, so an error
+	// names the job's input index.
+	for i, j := range jobs {
+		if err := j.Validate(); err != nil {
+			return nil, fmt.Errorf("sim: job %d: %w", i, err)
+		}
+	}
 	e, err := newEngine(cfg)
 	if err != nil {
 		return nil, err
@@ -156,76 +165,25 @@ func Run(cfg Config, jobs []*job.Job) (*Result, error) {
 		// one entry, so the map never rehashes mid-run.
 		e.fairStarts = make(map[int]units.Time, len(jobs))
 	}
-
-	// One arena holds every job clone: a year-scale trace is one
-	// allocation instead of one per job. The arena is pre-sized so the
-	// pointers handed to the event queue stay valid as it fills.
-	clones := make([]job.Job, 0, len(jobs))
-	var accepted, rejected []*job.Job
-	for i, src := range jobs {
-		if err := src.Validate(); err != nil {
-			return nil, fmt.Errorf("sim: job %d: %w", i, err)
+	ordered := jobs
+	var perm []int // perm[k] is the input index of the k-th arrival; nil when already sorted
+	if !slices.IsSortedFunc(jobs, func(a, b *job.Job) int { return cmp.Compare(a.Submit, b.Submit) }) {
+		perm = make([]int, len(jobs))
+		for i := range perm {
+			perm[i] = i
 		}
-		clones = append(clones, *src)
-		j := &clones[len(clones)-1]
-		j.State = job.Submitted
-		if !e.machine.CanFitEver(j.Nodes) {
-			rejected = append(rejected, j)
-			continue
+		slices.SortStableFunc(perm, func(a, b int) int { return cmp.Compare(jobs[a].Submit, jobs[b].Submit) })
+		ordered = make([]*job.Job, len(jobs))
+		for k, i := range perm {
+			ordered[k] = jobs[i]
 		}
-		accepted = append(accepted, j)
 	}
-	// Arrivals enter the FIFO in submit order, ties in input order (a
-	// stable sort) — the order RunStream and Live inject them in.
-	// Result.Jobs keeps input order, so an unsorted trace is sorted in a
-	// copy.
-	arrivals := accepted
-	bySubmit := func(a, b *job.Job) int { return cmp.Compare(a.Submit, b.Submit) }
-	if !slices.IsSortedFunc(arrivals, bySubmit) {
-		arrivals = slices.Clone(accepted)
-		slices.SortStableFunc(arrivals, bySubmit)
-	}
-	for _, j := range arrivals {
-		e.events.PushArrival(j)
-	}
-	var first units.Time // the earliest accepted submission
-	if len(arrivals) > 0 {
-		first = arrivals[0].Submit
-		e.anchorGrids(first)
-	}
-
+	src := traceSource(ordered)
+	e.stream = &streamState{src: &src}
 	if err := e.run(nil); err != nil {
 		return nil, err
 	}
-	for _, j := range accepted {
-		if j.State != job.Finished && j.State != job.Killed {
-			return nil, fmt.Errorf("sim: job %d never completed (state %v)", j.ID, j.State)
-		}
-	}
-	if err := e.verifySchedule(); err != nil {
-		return nil, err
-	}
-
-	res := &Result{
-		Policy:        e.scheduler.Name(),
-		Jobs:          accepted,
-		Rejected:      rejected,
-		Metrics:       e.collector,
-		FairStarts:    e.fairStarts,
-		AcceptedCount: len(accepted),
-		RejectedCount: len(rejected),
-		WhatIf:        e.whatIfStatus(),
-	}
-	if len(accepted) > 0 {
-		lastEnd := accepted[0].End
-		for _, j := range accepted {
-			if j.End > lastEnd {
-				lastEnd = j.End
-			}
-		}
-		res.Makespan = lastEnd.Sub(first)
-	}
-	return res, nil
+	return e.result(perm)
 }
 
 // engine is one simulation instance. It implements sched.Env and
@@ -241,17 +199,19 @@ type engine struct {
 	collector  *metrics.Collector
 	fairStarts map[int]units.Time
 	sub        bool                // a world's nested engine (see world.go): no retunes, no monitors, no oracle
-	stream     *streamState        // non-nil when arrivals come from a JobSource (RunStream)
+	stream     *streamState        // Run and RunStream: the job source the pump reads
+	in         intake              // admitted jobs and the census (see admit)
 	processed  int                 // events handled since the last counter reset (livelock guard)
 	rec        *invariant.Recorder // Paranoid top-level runs: the schedule-validity trace
 	notify     Notify              // Live sessions only: transition observer (never set on sub engines)
 
 	// keepGrids keeps the checkpoint and tick grids armed even when the
-	// system drains empty. Batch runs leave it false — their grids wind
-	// down with the pre-pushed arrivals — but a Live engine has no idea
-	// whether more submissions are coming, so its monitors must keep
-	// ticking across idle stretches. Live.Drain clears it temporarily to
-	// reproduce batch termination exactly.
+	// system drains empty. Run and RunStream leave it false — their
+	// grids wind down once the source is drained and its arrivals
+	// processed — but a Live engine has no idea whether more
+	// submissions are coming, so its monitors must keep ticking across
+	// idle stretches. Live.Drain clears it temporarily to reproduce
+	// batch termination exactly.
 	keepGrids bool
 
 	// Pass-elision state (see run): dirty records whether anything
@@ -341,18 +301,6 @@ func newEngine(cfg Config) (*engine, error) {
 		e.initRecorder()
 	}
 	return e, nil
-}
-
-// anchorGrids arms the checkpoint grid and, in periodic mode, the tick
-// grid at the first accepted submission — of the trace, of the stream,
-// or of a Live session whose grids had wound down.
-func (e *engine) anchorGrids(first units.Time) {
-	e.nextCheck = first.Add(e.cfg.CheckInterval)
-	e.events.Push(e.nextCheck, evCheckpoint, nil)
-	if e.cfg.SchedulePeriod > 0 {
-		e.nextTick = first
-		e.events.Push(first, evTick, nil)
-	}
 }
 
 // run drives the event loop until no events remain or stop returns true
@@ -505,7 +453,7 @@ func (e *engine) step() (bool, error) {
 		}
 		e.collector.Compact(e.now) // no-op outside lean streaming runs
 	}
-	if checkpoint && (e.events.Len() > 0 || e.queue.len() > 0 || len(e.running) > 0 || e.streamLive() || e.keepGrids) {
+	if checkpoint && e.gridsLive() {
 		// Re-armed for nested oracle runs too: their fair worlds mirror
 		// the main engine's checkpoint-forced scheduling passes (without
 		// the retune or monitor side effects, which stay !sub above).
@@ -559,8 +507,7 @@ func (e *engine) step() (bool, error) {
 
 	// A tick with a zero period is the one-shot fork-instant pass a
 	// nested event-mode fair world seeds; it must not re-arm.
-	if tick && e.cfg.SchedulePeriod > 0 &&
-		(e.events.Len() > 0 || e.queue.len() > 0 || len(e.running) > 0 || e.streamLive() || e.keepGrids) {
+	if tick && e.cfg.SchedulePeriod > 0 && e.gridsLive() {
 		next := e.now.Add(e.cfg.SchedulePeriod)
 		if e.sub && !e.cfg.disableElision && !e.dirty && (!e.lastDelta || e.lastQuiet) {
 			// Nested runs have no collector to sample, so a stretch

@@ -1,6 +1,8 @@
-// Streaming replay: RunStream drives the engine from a lazily-consumed
-// job source instead of a materialized slice, so a year-long trace
-// needs memory proportional to the jobs in flight, not the trace.
+// Job intake: RunStream drives the engine from a lazily-consumed job
+// source instead of a materialized slice, so a year-long trace needs
+// memory proportional to the jobs in flight, not the trace. Run replays
+// its trace through the same pump, and Live.Submit through the same
+// admission step.
 package sim
 
 import (
@@ -20,35 +22,116 @@ type JobSource interface {
 	Next() (*job.Job, error)
 }
 
+// traceSource is Run's JobSource: a trace already in submit order.
+type traceSource []*job.Job
+
+func (s *traceSource) Next() (*job.Job, error) {
+	if len(*s) == 0 {
+		return nil, io.EOF
+	}
+	j := (*s)[0]
+	*s = (*s)[1:]
+	return j, nil
+}
+
 // leanRetention is the step-series history a streaming collector keeps:
 // the widest rolling utilization window the checkpoints query (24 h)
 // plus an interval of slack so the compaction cutoff never clips a
 // window endpoint.
 const leanRetention = 24*units.Hour + units.Hour
 
-// streamState is the engine's view of an in-progress streaming replay.
+// streamState is the engine's view of an in-progress Run or RunStream.
 type streamState struct {
-	src  JobSource
-	sink func(*job.Job)
+	src     JobSource
+	sink    func(*job.Job)
+	drained bool       // src has returned io.EOF
+	lastEnd units.Time // latest completion, for Makespan
+}
 
-	// pending is the one read-ahead job: fetched from the source but
-	// not yet due for injection (its submit lies beyond the next event).
-	pending    *job.Job
-	drained    bool
-	lastSubmit units.Time // latest submit fetched; enforces source order
-	haveAny    bool
+// intake is the engine's admission state (see admit).
+type intake struct {
+	// slab holds the retained job copies in admission order, slabChunk
+	// to a chunk. A chunk is never reallocated, so the pointers the
+	// engine and its callers hold stay valid.
+	slab [][]job.Job
 
-	firstSubmit units.Time
-	haveFirst   bool
-	lastEnd     units.Time
+	lastSubmit units.Time // the latest accepted submission
+	first      units.Time // the first accepted submission
+	accepted   int
+	rejected   int
+}
 
-	accepted int
-	rejected int
+// slabChunk is the intake slab's chunk size in jobs.
+const slabChunk = 1024
 
-	// Retained only when no sink is given (the caller then gets the
-	// materialized Result.Jobs exactly as Run produces).
-	jobs         []*job.Job
-	rejectedJobs []*job.Job
+// keep copies src into the slab and returns the copy.
+func (in *intake) keep(src *job.Job) *job.Job {
+	last := len(in.slab) - 1
+	if last < 0 || len(in.slab[last]) == slabChunk {
+		in.slab = append(in.slab, make([]job.Job, 0, slabChunk))
+		last++
+	}
+	in.slab[last] = append(in.slab[last], *src)
+	return &in.slab[last][len(in.slab[last])-1]
+}
+
+// admit is the one way a job enters the engine, for Run and RunStream
+// (through pumpArrivals) and Live.Submit alike. It validates src, holds
+// it to the nondecreasing-submit contract (against the latest accepted
+// job: a rejected one never reaches the event queue) and the processed
+// horizon, and screens it against the machine: a job that can never
+// fit is counted and reported as ErrRejected. An admitted job is
+// copied, marked Submitted and enqueued to arrive at its submit time; the
+// checkpoint grid and, in periodic mode, the tick grid are anchored at
+// it when nothing else is pending (the first job, or the first after a
+// Live.Drain wound them down).
+//
+// The copy lands in the slab, except in a sink-driven stream, which
+// keeps nothing: its copy is dropped after the sink. A Run or a
+// sink-less RunStream keeps a rejected job's copy in the slab too, in
+// its admission place, for Result.Rejected.
+func (e *engine) admit(src *job.Job) (*job.Job, error) {
+	if err := src.Validate(); err != nil {
+		return nil, fmt.Errorf("sim: submitted job: %w", err)
+	}
+	if src.Submit < e.in.lastSubmit {
+		return nil, fmt.Errorf("sim: job %d submits at %v, before the previous submission at %v",
+			src.ID, src.Submit, e.in.lastSubmit)
+	}
+	if src.Submit < e.now {
+		return nil, fmt.Errorf("sim: job %d submits at %v, before the processed horizon %v",
+			src.ID, src.Submit, e.now)
+	}
+	sinkDriven := e.stream != nil && e.stream.sink != nil
+	if !e.machine.CanFitEver(src.Nodes) {
+		e.in.rejected++
+		if e.stream != nil && !sinkDriven {
+			e.in.keep(src).State = job.Submitted
+		}
+		return nil, ErrRejected
+	}
+	var j *job.Job
+	if sinkDriven {
+		j = src.Clone()
+	} else {
+		j = e.in.keep(src)
+	}
+	j.State = job.Submitted
+	if e.events.Len() == 0 {
+		e.nextCheck = j.Submit.Add(e.cfg.CheckInterval)
+		e.events.Push(e.nextCheck, evCheckpoint, nil)
+		if e.cfg.SchedulePeriod > 0 {
+			e.nextTick = j.Submit
+			e.events.Push(j.Submit, evTick, nil)
+		}
+	}
+	if e.in.accepted == 0 {
+		e.in.first = j.Submit
+	}
+	e.events.PushArrival(j)
+	e.in.lastSubmit = j.Submit
+	e.in.accepted++
+	return j, nil
 }
 
 // RunStream simulates a streamed workload under the configuration. It
@@ -76,114 +159,98 @@ func RunStream(cfg Config, src JobSource, sink func(*job.Job)) (*Result, error) 
 	if sink != nil {
 		e.collector.SetLean(leanRetention)
 	}
-
 	if err := e.run(nil); err != nil {
 		return nil, err
 	}
+	return e.result(nil)
+}
 
-	st := e.stream
-	if sink == nil {
-		for _, j := range st.jobs {
-			if j.State != job.Finished && j.State != job.Killed {
-				return nil, fmt.Errorf("sim: job %d never completed (state %v)", j.ID, j.State)
-			}
-		}
-	} else if done := e.collector.FinishedCount() + e.collector.KilledCount(); done != st.accepted {
-		return nil, fmt.Errorf("sim: %d of %d accepted jobs completed", done, st.accepted)
+// result checks that a Run or RunStream completed every accepted job,
+// audits a Paranoid run's schedule, and builds the Result. Without a
+// sink, Result.Jobs and Result.Rejected list the slab's copies in
+// admission order, or, given perm, the k-th copy at position perm[k].
+func (e *engine) result(perm []int) (*Result, error) {
+	if done := e.collector.FinishedCount() + e.collector.KilledCount(); done != e.in.accepted {
+		return nil, fmt.Errorf("sim: %d of %d accepted jobs completed", done, e.in.accepted)
 	}
 	if err := e.verifySchedule(); err != nil {
 		return nil, err
 	}
-
 	res := &Result{
 		Policy:        e.scheduler.Name(),
-		Jobs:          st.jobs,
-		Rejected:      st.rejectedJobs,
 		Metrics:       e.collector,
 		FairStarts:    e.fairStarts,
-		AcceptedCount: st.accepted,
-		RejectedCount: st.rejected,
+		AcceptedCount: e.in.accepted,
+		RejectedCount: e.in.rejected,
 		WhatIf:        e.whatIfStatus(),
 	}
-	if st.accepted > 0 {
-		res.Makespan = st.lastEnd.Sub(st.firstSubmit)
+	if e.in.accepted > 0 {
+		res.Makespan = e.stream.lastEnd.Sub(e.in.first)
+	}
+	if e.stream.sink != nil || len(e.in.slab) == 0 {
+		return res, nil
+	}
+	all := make([]*job.Job, e.in.accepted+e.in.rejected)
+	k := 0
+	for _, chunk := range e.in.slab {
+		for i := range chunk {
+			at := k
+			if perm != nil {
+				at = perm[k]
+			}
+			all[at] = &chunk[i]
+			k++
+		}
+	}
+	// Every accepted job completed, so a copy still Submitted is a
+	// rejected one. The accepted copies compact into all in place.
+	res.Jobs = all[:0]
+	for _, j := range all {
+		if j.State == job.Submitted {
+			res.Rejected = append(res.Rejected, j)
+		} else {
+			res.Jobs = append(res.Jobs, j)
+		}
 	}
 	return res, nil
 }
 
-// pumpArrivals injects source jobs into the event queue until the next
-// unfetched job provably submits after the next pending event. Called
-// before each event-loop iteration, it guarantees that when an instant
-// T is drained, every source arrival at T is already in the event queue, in
-// source order — which makes the schedule identical to the batch
-// engine's, where all arrivals are pushed up front: the event queue
+// pumpArrivals admits source jobs until the latest accepted arrival
+// lies beyond the next pending event. Called before each event-loop
+// iteration, it guarantees that when an instant T is drained, every
+// source arrival at T is already in the event queue, in source order,
+// while it admits at most one job past T — the schedule is the one
+// pushing the whole trace up front would give, since the event queue
 // orders same-instant items by kind before insertion sequence, so
 // arrivals only need to beat the drain of their own instant, not the
-// pushes of earlier end/tick events.
+// pushes of earlier end/tick events. A rejected job never enters the
+// event queue, so reading on past it keeps the grids from staying armed
+// for work that never arrives.
 func (e *engine) pumpArrivals() error {
 	st := e.stream
 	for !st.drained {
-		if st.pending == nil {
-			j, err := st.src.Next()
-			if err == io.EOF {
-				st.drained = true
-				return nil
-			}
-			if err != nil {
-				return fmt.Errorf("sim: job source: %w", err)
-			}
-			if err := j.Validate(); err != nil {
-				return fmt.Errorf("sim: streamed job %d: %w", j.ID, err)
-			}
-			if st.haveAny && j.Submit < st.lastSubmit {
-				return fmt.Errorf("sim: job source out of order: job %d submits at %v after %v",
-					j.ID, j.Submit, st.lastSubmit)
-			}
-			st.lastSubmit, st.haveAny = j.Submit, true
-			// Rejection is time-invariant (CanFitEver ignores the
-			// clock), so decide it at read time: a doomed job must
-			// never sit in pending, where streamLive would keep the
-			// checkpoint grid armed for work that is never injected —
-			// the batch engine, which rejects everything up front,
-			// would have let the grid lapse.
-			if !e.machine.CanFitEver(j.Nodes) {
-				jc := j.Clone()
-				jc.State = job.Submitted
-				st.rejected++
-				if st.sink == nil {
-					st.rejectedJobs = append(st.rejectedJobs, jc)
-				}
-				continue
-			}
-			st.pending = j
-		}
-		// Hold the pending job back while an earlier event exists; with
-		// an empty event queue it must be injected or the simulation would end
-		// with the trace unfinished.
-		if it, ok := e.events.Peek(); ok && st.pending.Submit > it.Time {
+		if it, ok := e.events.Peek(); ok && e.in.lastSubmit > it.Time {
 			return nil
 		}
-		j := st.pending.Clone()
-		st.pending = nil
-		j.State = job.Submitted
-		st.accepted++
-		if st.sink == nil {
-			st.jobs = append(st.jobs, j)
+		j, err := st.src.Next()
+		if err == io.EOF {
+			st.drained = true
+			return nil
 		}
-		if !st.haveFirst {
-			st.haveFirst = true
-			st.firstSubmit = j.Submit
-			e.anchorGrids(j.Submit) // as the batch engine does once up front
+		if err != nil {
+			return fmt.Errorf("sim: job source: %w", err)
 		}
-		e.events.PushArrival(j)
+		if _, err := e.admit(j); err != nil && err != ErrRejected {
+			return err
+		}
 	}
 	return nil
 }
 
-// streamLive reports whether the job source may still deliver work —
-// the streaming analogue of "the event queue still holds arrivals",
-// which keeps the checkpoint and tick grids armed across arrival gaps
-// exactly as the batch engine's pre-pushed arrivals do.
-func (e *engine) streamLive() bool {
-	return e.stream != nil && (!e.stream.drained || e.stream.pending != nil)
+// gridsLive reports whether the checkpoint and tick grids re-arm: work
+// is pending or running, the job source may still deliver, or a Live
+// session keeps them armed across idle stretches.
+func (e *engine) gridsLive() bool {
+	return e.events.Len() > 0 || e.queue.len() > 0 || len(e.running) > 0 ||
+		(e.stream != nil && !e.stream.drained) || e.keepGrids
 }

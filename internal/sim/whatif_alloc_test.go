@@ -32,9 +32,10 @@ func TestWarmWhatIfTickAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, j := range jobs {
-		e.events.PushArrival(j)
+		if _, err := e.admit(j); err != nil {
+			t.Fatal(err)
+		}
 	}
-	e.anchorGrids(jobs[0].Submit)
 	for e.now < jobs[0].Submit.Add(7*24*units.Hour) || e.queue.len() < 8 {
 		if _, err := e.step(); err != nil {
 			t.Fatal(err)
