@@ -12,11 +12,13 @@ import (
 	"amjs/internal/units"
 )
 
-// Item is a scheduled event carrying an arbitrary payload.
+// Item is a scheduled event carrying an arbitrary payload. Kind is 32
+// bits wide and sits beside the payload, so an item with a 32-bit
+// payload (the simulator's job slots) takes 24 bytes.
 type Item[T any] struct {
 	Time    units.Time
-	Kind    int
 	Seq     int64
+	Kind    int32
 	Payload T
 }
 
@@ -33,7 +35,7 @@ func (q *Queue[T]) Len() int { return len(q.h) }
 // container/heap: the standard interface passes items through `any`,
 // boxing every Push and Pop onto the garbage-collected heap, which at
 // full-Intrepid scale was two allocations per simulated event.
-func (q *Queue[T]) Push(t units.Time, kind int, payload T) {
+func (q *Queue[T]) Push(t units.Time, kind int32, payload T) {
 	q.seq++
 	q.h = append(q.h, Item[T]{Time: t, Kind: kind, Seq: q.seq, Payload: payload})
 	q.h.siftUp(len(q.h) - 1)

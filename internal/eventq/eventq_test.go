@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"amjs/internal/units"
 )
@@ -97,5 +98,13 @@ func TestPopSortedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// Kind sits beside the payload, so an item with a 32-bit payload (the
+// simulator's job slots) packs into 24 bytes.
+func TestItemSize(t *testing.T) {
+	if got := unsafe.Sizeof(Item[int32]{}); got != 24 {
+		t.Errorf("Item[int32] takes %d bytes, want 24", got)
 	}
 }

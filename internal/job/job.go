@@ -8,8 +8,9 @@ import (
 	"amjs/internal/units"
 )
 
-// State is a job's position in its lifecycle.
-type State int
+// State is a job's position in its lifecycle. It is 32 bits wide so
+// that it and the engine's slot (see Table) share one word of the row.
+type State int32
 
 // Lifecycle states. A job moves Submitted → Queued → Running → Finished;
 // Killed marks a job terminated at its walltime limit.
@@ -56,6 +57,7 @@ type Job struct {
 
 	// Simulation outcome.
 	State State
+	slot  int32      // the row's slot in the Table holding it (see Slot)
 	Start units.Time // instant the job began executing
 	End   units.Time // instant the job terminated
 }
@@ -79,6 +81,11 @@ func (j *Job) Validate() error {
 	}
 	return nil
 }
+
+// Slot returns the job's slot in the engine Table whose row it is: the
+// index the engine's queue, running set and events address it by.
+// Outside a Table it is meaningless.
+func (j *Job) Slot() int32 { return j.slot }
 
 // Wait returns how long the job waited in the queue. It is only
 // meaningful once the job has started.

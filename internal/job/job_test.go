@@ -3,6 +3,7 @@ package job
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"amjs/internal/units"
 )
@@ -124,4 +125,44 @@ func TestJobString(t *testing.T) {
 		}
 	}
 	_ = units.Time(0)
+}
+
+// A Job is one row of every engine table, fork arena and world copy:
+// the engine's slot shares a word with State, so the row stays at 80
+// bytes. A field that grows it grows every one of those.
+func TestJobRowSize(t *testing.T) {
+	if got := unsafe.Sizeof(Job{}); got != 80 {
+		t.Errorf("a Job row takes %d bytes, want 80", got)
+	}
+}
+
+// A table grows by one chunk, then three, then four at a time, hands
+// released rows out again before it grows, stamps every row with its
+// slot, and keeps its chunks through a Reset.
+func TestTableReusesReleasedRows(t *testing.T) {
+	var tab Table
+	for i := 1; i <= ChunkRows+1; i++ {
+		if r := tab.Add(&Job{ID: i}); int(r.Slot()) != i-1 || tab.At(r.Slot()) != r {
+			t.Fatalf("row %d has slot %d", i, r.Slot())
+		}
+		if i == ChunkRows && tab.Cap() != ChunkRows {
+			t.Fatalf("a full first chunk: the table holds %d rows, want %d", tab.Cap(), ChunkRows)
+		}
+	}
+	if tab.Len() != ChunkRows+1 || tab.Cap() != 4*ChunkRows {
+		t.Fatalf("Len/Cap %d/%d, want %d/%d", tab.Len(), tab.Cap(), ChunkRows+1, 4*ChunkRows)
+	}
+	tab.Release(3)
+	if r := tab.Add(&Job{ID: 99}); r.Slot() != 3 || tab.At(3).ID != 99 || tab.Len() != ChunkRows+1 {
+		t.Errorf("the released row was not reused: slot %d, Len %d", r.Slot(), tab.Len())
+	}
+
+	tab.Reset()
+	for i := 0; i < 5; i++ {
+		tab.Add(&Job{ID: 100 + i})
+	}
+	if tab.Len() != 5 || tab.Cap() != 4*ChunkRows || tab.At(4).ID != 104 || tab.At(4).Slot() != 4 {
+		t.Errorf("a reset table hands out slots from 0 in its kept chunks: Len/Cap %d/%d, row 4 ID %d slot %d",
+			tab.Len(), tab.Cap(), tab.At(4).ID, tab.At(4).Slot())
+	}
 }

@@ -9,7 +9,7 @@ import "testing"
 
 // batchSubmitAllocs bounds the allocations of one warm 256-job POST
 // /v1/jobs?count=1 through API.ServeHTTP, recorder included: 18 per
-// request and flush, plus under one for the slab chunks, ID-table pages
+// request and flush, plus under one for the job-table chunks, ID-table pages
 // and engine buffers that grow every few batches. Allocating per job
 // would put it in the hundreds.
 const batchSubmitAllocs = 19

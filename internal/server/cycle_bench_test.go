@@ -5,6 +5,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime/metrics"
 	"strconv"
 	"strings"
 	"testing"
@@ -58,10 +59,18 @@ func newCycleDaemon(tb testing.TB) *Daemon {
 // SubmitBatch in 256-job batches, then Drain and Close. The shape
 // mirrors the daemon-ingest benchmark workload minus its HTTP layer, so
 // `make profile` gives the profile of the lanes, Live.Submit, the
-// prediction plan and the engine's drain in one command.
+// prediction plan and the engine's drain in one command. It also
+// reports gc-cpu-%: the garbage collector's share of the process's CPU
+// time over the timed loop, from runtime/metrics.
 func BenchmarkDaemonCycle(b *testing.B) {
 	const jobs = 100_000
 	reqs := cycleReqs(jobs)
+	cpu := []metrics.Sample{
+		{Name: "/cpu/classes/gc/total:cpu-seconds"},
+		{Name: "/cpu/classes/total:cpu-seconds"},
+	}
+	metrics.Read(cpu)
+	gc0, total0 := cpu[0].Value.Float64(), cpu[1].Value.Float64()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -82,6 +91,11 @@ func BenchmarkDaemonCycle(b *testing.B) {
 		if err := d.Close(); err != nil {
 			b.Fatal(err)
 		}
+	}
+	b.StopTimer()
+	metrics.Read(cpu)
+	if total := cpu[1].Value.Float64() - total0; total > 0 {
+		b.ReportMetric(100*(cpu[0].Value.Float64()-gc0)/total, "gc-cpu-%")
 	}
 	b.ReportMetric(float64(jobs*b.N)/b.Elapsed().Seconds(), "jobs/s")
 }

@@ -21,11 +21,12 @@ import (
 // exactly the order one eventq.Queue holding every event gives — same
 // instant ties across all four kinds included.
 func TestEventQueueMatchesSingleHeap(t *testing.T) {
-	heapKinds := []int{evEnd, evTick, evCheckpoint}
+	heapKinds := []int32{evEnd, evTick, evCheckpoint}
 	for seed := int64(1); seed <= 40; seed++ {
 		r := rng.New(seed)
-		var got eventQueue
-		var want eventq.Queue[*job.Job]
+		var tab job.Table
+		got := eventQueue{tab: &tab}
+		var want eventq.Queue[int32]
 		var clock, lastArrival units.Time // pops never go back; arrivals never do
 		id := 0
 		for step := 0; step < 600; step++ {
@@ -34,15 +35,14 @@ func TestEventQueueMatchesSingleHeap(t *testing.T) {
 				id++
 				tm := clock.Add(units.Duration(r.Intn(4)))
 				kind := heapKinds[r.Intn(len(heapKinds))]
-				j := &job.Job{ID: id}
-				got.Push(tm, kind, j)
-				want.Push(tm, kind, j)
+				got.Push(tm, kind, int32(id))
+				want.Push(tm, kind, int32(id))
 			case op < 12:
 				id++
 				lastArrival = max(lastArrival, clock).Add(units.Duration(r.Intn(2)))
-				j := &job.Job{ID: id, Submit: lastArrival}
-				got.PushArrival(j)
-				want.Push(j.Submit, evArrive, j)
+				s := tab.Add(&job.Job{ID: id, Submit: lastArrival}).Slot()
+				got.PushArrival(s)
+				want.Push(lastArrival, evArrive, s)
 			case op < 19:
 				g, gok := got.Peek()
 				w, wok := want.Peek()
@@ -79,15 +79,15 @@ func TestEventQueueMatchesSingleHeap(t *testing.T) {
 	}
 }
 
-func sameEvent(g eventq.Item[*job.Job], gok bool, w eventq.Item[*job.Job], wok bool) bool {
+func sameEvent(g eventq.Item[int32], gok bool, w eventq.Item[int32], wok bool) bool {
 	return gok == wok && (!gok || g.Time == w.Time && g.Kind == w.Kind && g.Payload == w.Payload)
 }
 
-func describe(it eventq.Item[*job.Job], ok bool) string {
+func describe(it eventq.Item[int32], ok bool) string {
 	if !ok {
 		return "empty"
 	}
-	return fmt.Sprintf("(t=%v kind=%d job=%d)", it.Time, it.Kind, it.Payload.ID)
+	return fmt.Sprintf("(t=%v kind=%d job=%d)", it.Time, it.Kind, it.Payload)
 }
 
 // An arrival earlier than a pending one is a producer bug, and an
@@ -103,13 +103,14 @@ func TestEventQueueRejectsMisroutedArrivals(t *testing.T) {
 		f()
 	}
 	mustPanic("out-of-order arrival", func() {
-		var q eventQueue
-		q.PushArrival(&job.Job{ID: 1, Submit: 10})
-		q.PushArrival(&job.Job{ID: 2, Submit: 9})
+		var tab job.Table
+		q := eventQueue{tab: &tab}
+		q.PushArrival(tab.Add(&job.Job{ID: 1, Submit: 10}).Slot())
+		q.PushArrival(tab.Add(&job.Job{ID: 2, Submit: 9}).Slot())
 	})
 	mustPanic("arrival through Push", func() {
 		var q eventQueue
-		q.Push(10, evArrive, &job.Job{ID: 1})
+		q.Push(10, evArrive, 1)
 	})
 }
 

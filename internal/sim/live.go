@@ -33,7 +33,7 @@ var ErrRejected = errors.New("sim: job can never fit the machine")
 // use; callers (the daemon) serialize access.
 type Live struct {
 	e         *engine
-	jobs      job.IDTable[*job.Job] // accepted jobs by ID, pointing into the engine's slab
+	slots     job.IDTable[int32] // accepted jobs by ID: 1 + the job's slot in the engine's table
 	cancelled int
 
 	// The availability plan PredictStart answers from, built from the
@@ -92,14 +92,14 @@ func (l *Live) Submit(src *job.Job) (*job.Job, error) {
 	if src.ID > job.MaxID {
 		return nil, fmt.Errorf("sim: job ID %d above %d", src.ID, job.MaxID)
 	}
-	if l.jobs.Get(src.ID) != nil {
+	if l.slots.Get(src.ID) != 0 {
 		return nil, fmt.Errorf("sim: duplicate job ID %d", src.ID)
 	}
 	j, err := l.e.admit(src)
 	if err != nil {
 		return nil, err
 	}
-	l.jobs.Set(j.ID, j)
+	l.slots.Set(j.ID, j.Slot()+1)
 	if err := l.advance(j.Submit, false); err != nil {
 		return nil, err
 	}
@@ -111,8 +111,8 @@ func (l *Live) Submit(src *job.Job) (*job.Job, error) {
 // jobs cannot be cancelled). A job cancelled between submission and its
 // arrival instant never enters the queue at all.
 func (l *Live) Cancel(id int) bool {
-	j := l.jobs.Get(id)
-	if j == nil {
+	j, ok := l.Job(id)
+	if !ok {
 		return false
 	}
 	switch j.State {
@@ -186,17 +186,17 @@ func (l *Live) Now() units.Time { return l.e.now }
 // Job looks up an accepted job by ID. The returned job is the engine's
 // live copy; treat it as read-only.
 func (l *Live) Job(id int) (*job.Job, bool) {
-	j := l.jobs.Get(id)
-	return j, j != nil
+	if s := l.slots.Get(id); s != 0 {
+		return l.e.table.At(s - 1), true
+	}
+	return nil, false
 }
 
 // Each calls fn on every accepted job in submission order. The jobs are
 // the engine's live copies; treat them as read-only.
 func (l *Live) Each(fn func(j *job.Job)) {
-	for _, chunk := range l.e.in.slab {
-		for i := range chunk {
-			fn(&chunk[i])
-		}
+	for s := range l.e.table.Len() {
+		fn(l.e.table.At(int32(s)))
 	}
 }
 
@@ -209,7 +209,7 @@ func (l *Live) Queue() []*job.Job {
 func (l *Live) QueueLen() int { return l.e.queue.len() }
 
 // RunningLen reports the number of executing jobs.
-func (l *Live) RunningLen() int { return len(l.e.running) }
+func (l *Live) RunningLen() int { return l.e.running.len() }
 
 // Machine exposes the session's machine for occupancy snapshots.
 // Callers must treat it as read-only: starts and releases belong to the
@@ -249,8 +249,8 @@ func (l *Live) WhatIfStatus() (whatif.Status, bool) {
 // "predicted start" the job API reports next to the actual one. ok is
 // false for unknown or cancelled jobs.
 func (l *Live) PredictStart(id int) (units.Time, bool) {
-	j := l.jobs.Get(id)
-	if j == nil {
+	j, ok := l.Job(id)
+	if !ok {
 		return 0, false
 	}
 	switch j.State {

@@ -48,9 +48,9 @@ type fairOracle struct {
 	// in arrival order.
 	pending []pendingBatch
 
-	// batchFree recycles retired pendingBatch job slices, so a steady
+	// batchFree recycles retired pendingBatch slot slices, so a steady
 	// fairness workload stops allocating one slice per arrival instant.
-	batchFree [][]*job.Job
+	batchFree [][]int32
 
 	// Deferred-pass scratch (see beginPass): the pre-pass queue
 	// snapshot, the pre-pass scheduler clone, and the starts the pass
@@ -123,24 +123,26 @@ func (fw *fairWorld) targetsStarted() bool {
 }
 
 // pendingBatch is one arrival instant's deferred fair-start batch: the
-// jobs that arrived at instant t and still await their fair start.
+// slots of the jobs that arrived at instant t and still await their
+// fair start. Every member is queued: a member leaves the batch when it
+// starts (startedGlued), and a cancellation resolves the batch.
 type pendingBatch struct {
-	t    units.Time
-	jobs []*job.Job
+	t     units.Time
+	slots []int32
 }
 
 // arrive defers the fair starts of the jobs that arrived at the current
 // instant.
-func (o *fairOracle) arrive(jobs []*job.Job) {
-	var b []*job.Job
+func (o *fairOracle) arrive(slots []int32) {
+	var b []int32
 	if k := len(o.batchFree); k > 0 {
 		b, o.batchFree = o.batchFree[k-1], o.batchFree[:k-1]
 	}
-	o.pending = append(o.pending, pendingBatch{t: o.e.now, jobs: append(b, jobs...)})
+	o.pending = append(o.pending, pendingBatch{t: o.e.now, slots: append(b, slots...)})
 }
 
-// retireBatch returns a resolved batch's job slice to the freelist.
-func (o *fairOracle) retireBatch(b []*job.Job) {
+// retireBatch returns a resolved batch's slot slice to the freelist.
+func (o *fairOracle) retireBatch(b []int32) {
 	if cap(b) > 0 {
 		o.batchFree = append(o.batchFree, b[:0])
 	}
@@ -152,13 +154,14 @@ func (o *fairOracle) retireBatch(b []*job.Job) {
 // main schedule, so the free path applies: its no-later-arrival world
 // is the main schedule itself and its fair start is its actual start.
 func (o *fairOracle) startedGlued(j *job.Job) bool {
+	s := j.Slot()
 	for bi := range o.pending {
 		b := &o.pending[bi]
-		for i, p := range b.jobs {
-			if p == j {
-				b.jobs = append(b.jobs[:i], b.jobs[i+1:]...)
-				if len(b.jobs) == 0 {
-					o.retireBatch(b.jobs)
+		for i, p := range b.slots {
+			if p == s {
+				b.slots = append(b.slots[:i], b.slots[i+1:]...)
+				if len(b.slots) == 0 {
+					o.retireBatch(b.slots)
 					o.pending = append(o.pending[:bi], o.pending[bi+1:]...)
 				}
 				return true
@@ -233,7 +236,7 @@ func (o *fairOracle) resolveLive(b pendingBatch, forkPass bool) {
 	fw := o.seed(b, e.queue.jobs(), e.scheduler, nil)
 	fw.armGrids(e.nextTick, e.nextCheck, forkPass)
 	o.launch(fw, nil)
-	o.retireBatch(b.jobs)
+	o.retireBatch(b.slots)
 }
 
 // seed takes an idle fair world and forks it for batch b (see
@@ -253,12 +256,13 @@ func (o *fairOracle) seed(b pendingBatch, queueView []*job.Job, schedSrc sched.S
 	}
 	sub := fw.fork(o.e, schedSrc, queueView, b.t, begun)
 	fw.targets = fw.targets[:0]
-	for i := range fw.arena[:sub.queue.len()] {
-		if k := len(fw.targets); k < len(b.jobs) && fw.arena[i].ID == b.jobs[k].ID {
-			fw.targets = append(fw.targets, &fw.arena[i])
+	for s := range int32(sub.queue.len()) {
+		c := sub.table.At(s)
+		if k := len(fw.targets); k < len(b.slots) && c.ID == o.e.table.At(b.slots[k]).ID {
+			fw.targets = append(fw.targets, c)
 		}
 	}
-	if len(fw.targets) != len(b.jobs) {
+	if len(fw.targets) != len(b.slots) {
 		panic("sim: oracle targets missing from the queue")
 	}
 	return fw
@@ -390,7 +394,7 @@ func (o *fairOracle) endPass(checkpoint bool) {
 			diverged = !o.resolveOrEcho(b, checkpoint)
 		}
 		if diverged {
-			o.retireBatch(b.jobs)
+			o.retireBatch(b.slots)
 		} else {
 			kept = append(kept, b)
 		}
@@ -461,7 +465,8 @@ func (o *fairOracle) resolveOrEcho(b pendingBatch, checkpoint bool) (glued bool)
 func (o *fairOracle) passEchoed(sub *engine) bool {
 	e := o.e
 	started := 0
-	for c, a := range sub.running {
+	for i, cs := range sub.running.slots {
+		c, a := sub.table.At(cs), sub.running.allocs[i]
 		if c.Start != e.now {
 			continue // seeded from the pre-pass running set
 		}

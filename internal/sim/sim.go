@@ -193,9 +193,11 @@ type engine struct {
 	now        units.Time
 	machine    machine.Machine
 	scheduler  sched.Scheduler
-	events     eventQueue
-	queue      jobQueue // waiting jobs in arrival order
-	running    map[*job.Job]machine.Alloc
+	table      job.Table  // the engine's job rows; every structure below names them by slot
+	pos        slotPos    // each queued or running slot's place in queue or running
+	events     eventQueue // pending completions, arrivals, ticks and checkpoints
+	queue      jobQueue   // waiting jobs in arrival order
+	running    runSet     // executing jobs and their allocations
 	collector  *metrics.Collector
 	fairStarts map[int]units.Time
 	sub        bool                // a world's nested engine (see world.go): no retunes, no monitors, no oracle
@@ -258,8 +260,9 @@ type engine struct {
 	fair fairOracle
 
 	// Scratch reused across instants.
-	arrived  []*job.Job // jobs that arrived at the current instant
+	arrived  []int32    // the fairness oracle's arrivals at the current instant
 	orderBuf []*job.Job // the running set, for checkInvariants
+	slotMark []uint8    // per-slot marks, for checkSlots
 
 	// passes counts the scheduling passes executed (not elided) since
 	// the engine was built or, for a world's engine, forked; a what-if
@@ -291,16 +294,24 @@ func newEngine(cfg Config) (*engine, error) {
 		cfg:        cfg,
 		machine:    m,
 		scheduler:  cfg.Scheduler.Clone(),
-		running:    make(map[*job.Job]machine.Alloc),
 		collector:  metrics.NewCollector(m.TotalNodes()),
 		fairStarts: make(map[int]units.Time),
 		dirty:      true,
 	}
+	e.bind()
 	e.fair.e = e
 	if cfg.Paranoid {
 		e.initRecorder()
 	}
 	return e, nil
+}
+
+// bind points the queue, the running set and the event queue at the
+// engine's own job table and slot positions. Every engine is bound
+// once, where it is built.
+func (e *engine) bind() {
+	e.queue.tab, e.events.tab = &e.table, &e.table
+	e.queue.pos, e.running.pos = &e.pos, &e.pos
 }
 
 // run drives the event loop until no events remain or stop returns true
@@ -362,20 +373,16 @@ func (e *engine) step() (bool, error) {
 		case evEnd:
 			e.finish(it.Payload)
 			e.endedNow = true
-			if e.cfg.Trace != nil {
-				e.trace("end job=%d", it.Payload.ID)
-			}
-			if e.rec != nil {
-				e.rec.End(e.now, it.Payload)
-			}
 		case evArrive:
-			j := it.Payload
+			j := e.table.At(it.Payload)
 			if j.State == job.Cancelled {
 				break // cancelled between submission and arrival (Live)
 			}
 			j.State = job.Queued
-			e.queue.push(j)
-			e.arrived = append(e.arrived, j)
+			e.queue.push(it.Payload)
+			if e.cfg.Fairness && !e.sub {
+				e.arrived = append(e.arrived, it.Payload)
+			}
 			e.dirty = true
 			if e.cfg.Trace != nil {
 				e.trace("arrive job=%d nodes=%d wall=%v", j.ID, j.Nodes, j.Walltime)
@@ -458,7 +465,7 @@ func (e *engine) step() (bool, error) {
 		// the main engine's checkpoint-forced scheduling passes (without
 		// the retune or monitor side effects, which stay !sub above).
 		e.nextCheck = e.now.Add(e.cfg.CheckInterval)
-		e.events.Push(e.nextCheck, evCheckpoint, nil)
+		e.events.Push(e.nextCheck, evCheckpoint, noSlot)
 	}
 
 	// Event-driven mode schedules after every batch; periodic mode
@@ -519,7 +526,7 @@ func (e *engine) step() (bool, error) {
 				next = next.Add(k * e.cfg.SchedulePeriod)
 			}
 		}
-		e.events.Push(next, evTick, nil)
+		e.events.Push(next, evTick, noSlot)
 		e.nextTick = next
 	}
 
@@ -542,7 +549,7 @@ func (e *engine) step() (bool, error) {
 func (e *engine) cancelQueued(j *job.Job) {
 	e.fair.cancelling(j) // while j is still queued, as the worlds it diverges have it
 	j.State = job.Cancelled
-	e.queue.remove(j)
+	e.queue.remove(j.Slot())
 	e.dirty = true
 	if e.cfg.Trace != nil {
 		e.trace("cancel job=%d", j.ID)
@@ -560,12 +567,84 @@ func (e *engine) cancelQueued(j *job.Job) {
 // bug, not an input error.
 func (e *engine) checkInvariants() {
 	e.orderBuf = e.orderBuf[:0]
-	for r := range e.running {
-		e.orderBuf = append(e.orderBuf, r)
+	for _, s := range e.running.slots {
+		e.orderBuf = append(e.orderBuf, e.table.At(s))
 	}
 	if err := invariant.CheckEngineState(e.machine, e.now, e.queue.jobs(), e.orderBuf); err != nil {
 		panic(err.Error())
 	}
+	if err := e.checkSlots(); err != nil {
+		panic(err.Error())
+	}
+}
+
+// checkSlots audits the slot-indexed state against the job table: every
+// slot the queue, the running set, the arrival FIFO or a deferred
+// fairness batch names is a row handed out and not released, no slot is
+// named twice across the first three, each row is in the state its
+// holder implies (Queued, Running, Submitted or Cancelled), and every
+// batch member is still queued. A recycled row that some holder still
+// named would fail one of these.
+func (e *engine) checkSlots() error {
+	const (
+		free = 1 << iota
+		held
+	)
+	n := e.table.Len()
+	if cap(e.slotMark) < n {
+		e.slotMark = make([]uint8, n, n+n/2)
+	}
+	mark := e.slotMark[:n]
+	clear(mark)
+	for _, s := range e.table.Released() {
+		mark[s] |= free
+	}
+	hold := func(s int32, want job.State, by string) error {
+		if s < 0 || int(s) >= n {
+			return fmt.Errorf("sim: %s names slot %d, outside the table's %d", by, s, n)
+		}
+		j := e.table.At(s)
+		switch {
+		case mark[s]&free != 0:
+			return fmt.Errorf("sim: %s names released slot %d", by, s)
+		case mark[s]&held != 0:
+			return fmt.Errorf("sim: %s names slot %d (job %d), which another holder names too", by, s, j.ID)
+		case j.State != want && !(want == job.Submitted && j.State == job.Cancelled):
+			return fmt.Errorf("sim: %s names job %d in state %v", by, j.ID, j.State)
+		}
+		mark[s] |= held
+		return nil
+	}
+	live := 0
+	for _, s := range e.queue.slots {
+		if s >= 0 {
+			live++
+			if err := hold(s, job.Queued, "the queue"); err != nil {
+				return err
+			}
+		}
+	}
+	if live != e.queue.live {
+		return fmt.Errorf("sim: the queue names %d jobs but counts %d", live, e.queue.live)
+	}
+	for _, s := range e.running.slots {
+		if err := hold(s, job.Running, "the running set"); err != nil {
+			return err
+		}
+	}
+	for _, s := range e.events.pending() {
+		if err := hold(s, job.Submitted, "the arrival FIFO"); err != nil {
+			return err
+		}
+	}
+	for _, b := range e.fair.pending {
+		for _, s := range b.slots {
+			if s < 0 || int(s) >= n || mark[s]&free != 0 || e.table.At(s).State != job.Queued {
+				return fmt.Errorf("sim: a deferred fairness batch names slot %d, which is not a queued job", s)
+			}
+		}
+	}
+	return nil
 }
 
 // trace emits a debug line when tracing is enabled (never in nested
@@ -610,15 +689,19 @@ func (e *engine) queuedJobFitsIdle() bool {
 	return false
 }
 
-// finish completes a running job.
-func (e *engine) finish(j *job.Job) {
-	alloc, ok := e.running[j]
+// finish completes the running job in slot s. A sink-driven stream
+// hands the sink a copy of the row and recycles the row itself: nothing
+// names it any more (the queue and the running set let go of it at its
+// start and here, its arrival and completion events are consumed, and a
+// deferred fairness batch releases a job when it starts).
+func (e *engine) finish(s int32) {
+	j := e.table.At(s)
+	alloc, ok := e.running.remove(s)
 	if !ok {
 		panic(fmt.Sprintf("sim: end event for job %d which is not running", j.ID))
 	}
 	e.machine.Release(alloc, e.now)
 	e.machineGen++
-	delete(e.running, j)
 	e.dirty = true
 	j.End = e.now
 	if j.Runtime > j.Walltime {
@@ -632,12 +715,20 @@ func (e *engine) finish(j *job.Job) {
 			e.notify(e.now, j, j.State)
 		}
 	}
+	if e.cfg.Trace != nil {
+		e.trace("end job=%d", j.ID)
+	}
+	if e.rec != nil {
+		e.rec.End(e.now, j)
+	}
 	if st := e.stream; st != nil {
 		if j.End > st.lastEnd {
 			st.lastEnd = j.End
 		}
 		if st.sink != nil {
-			st.sink(j)
+			c := *j
+			st.sink(&c)
+			e.table.Release(s)
 		}
 	}
 }
@@ -670,11 +761,11 @@ func (e *engine) begin(j *job.Job, a machine.Alloc) {
 	}
 	j.State = job.Running
 	j.Start = e.now
-	e.running[j] = a
+	e.queue.remove(j.Slot()) // before the running set takes over the slot's place
+	e.running.add(j.Slot(), a)
 	e.machineGen++
-	e.queue.remove(j)
 	e.dirty = true
-	e.events.Push(e.now.Add(effectiveRuntime(j)), evEnd, j)
+	e.events.Push(e.now.Add(effectiveRuntime(j)), evEnd, j.Slot())
 	if e.cfg.Trace != nil {
 		e.trace("start job=%d nodes=%d wait=%v", j.ID, j.Nodes, j.Wait())
 	}

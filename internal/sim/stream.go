@@ -48,31 +48,12 @@ type streamState struct {
 	lastEnd units.Time // latest completion, for Makespan
 }
 
-// intake is the engine's admission state (see admit).
+// intake is the engine's admission census (see admit).
 type intake struct {
-	// slab holds the retained job copies in admission order, slabChunk
-	// to a chunk. A chunk is never reallocated, so the pointers the
-	// engine and its callers hold stay valid.
-	slab [][]job.Job
-
 	lastSubmit units.Time // the latest accepted submission
 	first      units.Time // the first accepted submission
 	accepted   int
 	rejected   int
-}
-
-// slabChunk is the intake slab's chunk size in jobs.
-const slabChunk = 1024
-
-// keep copies src into the slab and returns the copy.
-func (in *intake) keep(src *job.Job) *job.Job {
-	last := len(in.slab) - 1
-	if last < 0 || len(in.slab[last]) == slabChunk {
-		in.slab = append(in.slab, make([]job.Job, 0, slabChunk))
-		last++
-	}
-	in.slab[last] = append(in.slab[last], *src)
-	return &in.slab[last][len(in.slab[last])-1]
 }
 
 // admit is the one way a job enters the engine, for Run and RunStream
@@ -81,15 +62,17 @@ func (in *intake) keep(src *job.Job) *job.Job {
 // job: a rejected one never reaches the event queue) and the processed
 // horizon, and screens it against the machine: a job that can never
 // fit is counted and reported as ErrRejected. An admitted job is
-// copied, marked Submitted and enqueued to arrive at its submit time; the
+// copied into a row of the engine's job table, marked Submitted and
+// enqueued to arrive at its submit time; the
 // checkpoint grid and, in periodic mode, the tick grid are anchored at
 // it when nothing else is pending (the first job, or the first after a
 // Live.Drain wound them down).
 //
-// The copy lands in the slab, except in a sink-driven stream, which
-// keeps nothing: its copy is dropped after the sink. A Run or a
-// sink-less RunStream keeps a rejected job's copy in the slab too, in
-// its admission place, for Result.Rejected.
+// Run, a sink-less RunStream and Live keep every row, in admission
+// order; a sink-driven stream recycles a row once its job completes
+// (see finish), so its table holds the jobs in flight. A Run or a
+// sink-less RunStream keeps a rejected job's row too, in its admission
+// place, for Result.Rejected.
 func (e *engine) admit(src *job.Job) (*job.Job, error) {
 	if err := src.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: submitted job: %w", err)
@@ -106,29 +89,24 @@ func (e *engine) admit(src *job.Job) (*job.Job, error) {
 	if !e.machine.CanFitEver(src.Nodes) {
 		e.in.rejected++
 		if e.stream != nil && !sinkDriven {
-			e.in.keep(src).State = job.Submitted
+			e.table.Add(src).State = job.Submitted
 		}
 		return nil, ErrRejected
 	}
-	var j *job.Job
-	if sinkDriven {
-		j = src.Clone()
-	} else {
-		j = e.in.keep(src)
-	}
+	j := e.table.Add(src)
 	j.State = job.Submitted
 	if e.events.Len() == 0 {
 		e.nextCheck = j.Submit.Add(e.cfg.CheckInterval)
-		e.events.Push(e.nextCheck, evCheckpoint, nil)
+		e.events.Push(e.nextCheck, evCheckpoint, noSlot)
 		if e.cfg.SchedulePeriod > 0 {
 			e.nextTick = j.Submit
-			e.events.Push(j.Submit, evTick, nil)
+			e.events.Push(j.Submit, evTick, noSlot)
 		}
 	}
 	if e.in.accepted == 0 {
 		e.in.first = j.Submit
 	}
-	e.events.PushArrival(j)
+	e.events.PushArrival(j.Slot())
 	e.in.lastSubmit = j.Submit
 	e.in.accepted++
 	return j, nil
@@ -140,7 +118,8 @@ func (e *engine) admit(src *job.Job) (*job.Job, error) {
 //
 // When sink is nil, every job is retained and the Result matches Run's.
 // When sink is non-nil the engine runs in O(live jobs) memory: each job
-// is handed to sink as it completes (rejected jobs are counted but not
+// is handed to sink as it completes, as a copy the sink may keep (the
+// engine reuses the job's row; rejected jobs are counted but not
 // delivered), Result.Jobs and Result.Rejected stay nil, per-job metric
 // samples fold into running aggregates (WaitSummary and SlowdownSummary
 // then report N/Mean/Max only), utilization history is compacted behind
@@ -148,6 +127,18 @@ func (e *engine) admit(src *job.Job) (*job.Job, error) {
 // and Result.FairStarts holds only jobs that have not yet started. sink
 // must not retain the engine's clock — it is called mid-simulation.
 func RunStream(cfg Config, src JobSource, sink func(*job.Job)) (*Result, error) {
+	e, err := newStreamEngine(cfg, src, sink)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.run(nil); err != nil {
+		return nil, err
+	}
+	return e.result(nil)
+}
+
+// newStreamEngine builds RunStream's engine, ready to run.
+func newStreamEngine(cfg Config, src JobSource, sink func(*job.Job)) (*engine, error) {
 	e, err := newEngine(cfg)
 	if err != nil {
 		return nil, err
@@ -159,16 +150,14 @@ func RunStream(cfg Config, src JobSource, sink func(*job.Job)) (*Result, error) 
 	if sink != nil {
 		e.collector.SetLean(leanRetention)
 	}
-	if err := e.run(nil); err != nil {
-		return nil, err
-	}
-	return e.result(nil)
+	return e, nil
 }
 
 // result checks that a Run or RunStream completed every accepted job,
 // audits a Paranoid run's schedule, and builds the Result. Without a
-// sink, Result.Jobs and Result.Rejected list the slab's copies in
-// admission order, or, given perm, the k-th copy at position perm[k].
+// sink, Result.Jobs and Result.Rejected list the table's rows in
+// admission (slot) order, or, given perm, the k-th row at position
+// perm[k].
 func (e *engine) result(perm []int) (*Result, error) {
 	if done := e.collector.FinishedCount() + e.collector.KilledCount(); done != e.in.accepted {
 		return nil, fmt.Errorf("sim: %d of %d accepted jobs completed", done, e.in.accepted)
@@ -187,23 +176,19 @@ func (e *engine) result(perm []int) (*Result, error) {
 	if e.in.accepted > 0 {
 		res.Makespan = e.stream.lastEnd.Sub(e.in.first)
 	}
-	if e.stream.sink != nil || len(e.in.slab) == 0 {
+	if e.stream.sink != nil || e.table.Len() == 0 {
 		return res, nil
 	}
-	all := make([]*job.Job, e.in.accepted+e.in.rejected)
-	k := 0
-	for _, chunk := range e.in.slab {
-		for i := range chunk {
-			at := k
-			if perm != nil {
-				at = perm[k]
-			}
-			all[at] = &chunk[i]
-			k++
+	all := make([]*job.Job, e.table.Len())
+	for k := range all {
+		at := k
+		if perm != nil {
+			at = perm[k]
 		}
+		all[at] = e.table.At(int32(k))
 	}
-	// Every accepted job completed, so a copy still Submitted is a
-	// rejected one. The accepted copies compact into all in place.
+	// Every accepted job completed, so a row still Submitted is a
+	// rejected one. The accepted rows compact into all in place.
 	res.Jobs = all[:0]
 	for _, j := range all {
 		if j.State == job.Submitted {
@@ -251,6 +236,6 @@ func (e *engine) pumpArrivals() error {
 // is pending or running, the job source may still deliver, or a Live
 // session keeps them armed across idle stretches.
 func (e *engine) gridsLive() bool {
-	return e.events.Len() > 0 || e.queue.len() > 0 || len(e.running) > 0 ||
+	return e.events.Len() > 0 || e.queue.len() > 0 || e.running.len() > 0 ||
 		(e.stream != nil && !e.stream.drained) || e.keepGrids
 }

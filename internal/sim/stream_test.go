@@ -258,3 +258,76 @@ func TestStreamHeapFlat(t *testing.T) {
 			peakLarge, large, peakSmall, small)
 	}
 }
+
+// A sink-driven stream recycles a completed job's row: over a trace
+// much longer than the jobs it holds in flight, its job table stays at
+// the peak in flight, rounded up to a chunk, and the schedule is still
+// Run's. Paranoid runs audit every step for a recycled row that a
+// holder still names (checkSlots): the queue, the running set, the
+// arrival FIFO or, in the fairness leg, a deferred batch.
+func TestRunStreamRecyclesRows(t *testing.T) {
+	const n = 3000
+	jobs := streamTestTrace(t, 37, n)
+	legs := map[string]Config{
+		"event-fairness": {
+			Machine:   machine.NewIntrepid(),
+			Scheduler: core.NewMetricAware(0.5, 3),
+			Fairness:  true,
+			Paranoid:  true,
+		},
+		"periodic": {
+			Machine:        machine.NewIntrepid(),
+			Scheduler:      core.NewMetricAware(0.5, 3),
+			SchedulePeriod: 10 * units.Second,
+			Paranoid:       true,
+		},
+	}
+	for name, cfg := range legs {
+		t.Run(name, func(t *testing.T) {
+			want, err := Run(cfg, jobs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			byID := map[int]*job.Job{}
+			var e *engine
+			peak := 0
+			e, err = newStreamEngine(cfg, workload.SliceSource(jobs), func(j *job.Job) {
+				// Admitted and not yet delivered, this job included.
+				peak = max(peak, e.in.accepted-len(byID))
+				byID[j.ID] = j
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.run(nil); err != nil {
+				t.Fatal(err)
+			}
+			res, err := e.result(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			t.Logf("%d accepted, peak in flight %d, table rows %d of %d", res.AcceptedCount, peak, e.table.Len(), e.table.Cap())
+			if rows := e.table.Len(); rows > peak || e.table.Cap() > peak+job.ChunkRows {
+				t.Errorf("table handed out %d rows and holds %d, want at most the peak in flight %d and %d",
+					rows, e.table.Cap(), peak, peak+job.ChunkRows)
+			}
+			if 4*peak > n {
+				t.Errorf("peak in flight %d of %d jobs: the trace is too short to recycle rows", peak, n)
+			}
+			if res.AcceptedCount != want.AcceptedCount || res.RejectedCount != want.RejectedCount {
+				t.Errorf("census %d/%d, want %d/%d",
+					res.AcceptedCount, res.RejectedCount, want.AcceptedCount, want.RejectedCount)
+			}
+			got := &Result{}
+			for _, w := range want.Jobs {
+				if g := byID[w.ID]; g != nil {
+					got.Jobs = append(got.Jobs, g)
+				}
+			}
+			if len(got.Jobs) != len(want.Jobs) || scheduleHash(got) != scheduleHash(want) {
+				t.Error("recycled-row stream scheduled differently from Run")
+			}
+		})
+	}
+}

@@ -117,9 +117,10 @@ func (e *engine) Lookahead(cands []sched.Scheduler, horizon units.Duration, work
 		sub0 := w0.sub
 		shared := sub0.passes > 1
 		la.begun = la.begun[:0]
-		for i := range w0.arena[:len(la.queue)] {
-			if c := &w0.arena[i]; c.State != job.Queued {
-				la.begun = append(la.begun, passBegin{c, sub0.running[c]})
+		for s := range int32(len(la.queue)) {
+			if c := sub0.table.At(s); c.State != job.Queued {
+				a, _ := sub0.running.alloc(c.Slot())
+				la.begun = append(la.begun, passBegin{c, a})
 			}
 		}
 		done := w0.completed(la.start, la.end)
@@ -236,8 +237,8 @@ func (w *world) drive(r *sched.Rollout, end units.Time, prefix bool) (forked boo
 // jobs running at the fork or started since alike.
 func (w *world) completed(start, end units.Time) int {
 	n := 0
-	for i := range w.arena {
-		c := &w.arena[i]
+	for s := range int32(w.sub.table.Len()) {
+		c := w.sub.table.At(s)
 		if (c.State == job.Finished || c.State == job.Killed) && c.End > start && c.End <= end {
 			n++
 		}
@@ -247,8 +248,8 @@ func (w *world) completed(start, end units.Time) int {
 
 // score closes a rollout that drive ran to end: the idle tail of the
 // utilization integral, the completions, and the sums over the
-// population queued at the fork, the first queued entries of the arena
-// in queue order. Started jobs contribute their realized wait, stranded
+// population queued at the fork, the world's first queued rows in
+// queue order. Started jobs contribute their realized wait, stranded
 // ones their wait truncated at the horizon.
 func (w *world) score(r *sched.Rollout, queued int, start, end units.Time) {
 	sub := w.sub
@@ -256,8 +257,8 @@ func (w *world) score(r *sched.Rollout, queued int, start, end units.Time) {
 		r.UtilNodeSec += float64(sub.machine.BusyNodes()) * float64(end.Sub(sub.now))
 	}
 	r.Completed += w.completed(start, end)
-	for i := range w.arena[:queued] {
-		c := &w.arena[i]
+	for s := range int32(queued) {
+		c := sub.table.At(s)
 		if c.State == job.Queued {
 			r.LeftQueued++
 			wait := end.Sub(c.Submit)

@@ -24,13 +24,14 @@ import (
 // concurrently with each other, and a diverged fairness world run on its
 // own goroutine while the parent keeps scheduling (see fairOracle). All
 // of the buffers are reused from fork to fork — the nested engine with
-// its event queue and queue storage, the in-place machine clone, the job
-// arena, the scheduler cloned into the previous fork's retired one — so
-// a warm fork allocates nothing.
+// its event queue, queue and running-set storage, the in-place machine
+// clone, its job table's chunks, the scheduler cloned into the previous
+// fork's retired one — so a warm fork allocates nothing. The fork's rows
+// are its table's first slots: its queue in arrival order, then its
+// running set.
 type world struct {
-	sub   *engine    // the nested engine, rebuilt in place by every fork
-	arena []job.Job  // the fork's job clones: its queue in arrival order, then its running set
-	order []*job.Job // the parent's running set in ID order
+	sub   *engine // the nested engine, rebuilt in place by every fork
+	order []int32 // places in the parent's running set, in job ID order
 }
 
 // passBegin records one start performed during a scheduling pass:
@@ -73,10 +74,12 @@ func cloneScheduler(s, dst sched.Scheduler) sched.Scheduler {
 // nodes are free again and their jobs wait in the queue (queueView is
 // then the pre-pass snapshot that still lists them). fork only reads
 // parent, and seeds no scheduling event: armGrids does, and the caller
-// decides how far the world runs.
+// decides how far the world runs. The world's rows are plain copies of
+// the parent's, each given the slot of its place in the world's table.
 func (w *world) fork(parent *engine, s sched.Scheduler, queueView []*job.Job, cutoff units.Time, begun []passBegin) *engine {
 	if w.sub == nil {
-		w.sub = &engine{running: make(map[*job.Job]machine.Alloc), sub: true}
+		w.sub = &engine{sub: true}
+		w.sub.bind()
 	}
 	sub := w.sub
 	sub.cfg = parent.cfg
@@ -90,7 +93,7 @@ func (w *world) fork(parent *engine, s sched.Scheduler, queueView []*job.Job, cu
 	sub.collector = nil // a nested engine samples, retunes and reports nothing
 	sub.events.Reset()
 	sub.queue.reset()
-	clear(sub.running)
+	sub.running.reset()
 	sub.dirty = true
 	sub.lastDelta = false
 	sub.lastQuiet = false
@@ -106,46 +109,39 @@ func (w *world) fork(parent *engine, s sched.Scheduler, queueView []*job.Job, cu
 		return false
 	}
 
-	// Clone the live jobs into the arena, queue first (the queue view
-	// and the seeded running set are disjoint). The arena is sized up
-	// front so the pointers handed to the sub-engine stay valid as it
-	// fills; the headroom keeps a slowly growing system from
-	// reallocating it on every fork.
-	n := len(queueView) + len(parent.running)
-	if cap(w.arena) < n {
-		w.arena = make([]job.Job, 0, n+n/2+8)
-	}
-	arena := w.arena[:0]
+	// Copy the live jobs into the table, queue first (the queue view
+	// and the seeded running set are disjoint).
+	sub.table.Reset()
 	for _, j := range queueView {
 		if j.Submit > cutoff {
 			continue // an extra: the closed world never sees it
 		}
-		arena = append(arena, *j)
-		c := &arena[len(arena)-1]
+		c := sub.table.Add(j)
 		if wasBegun(j) {
 			c.State = job.Queued
 			c.Start = 0
 		}
-		sub.queue.push(c)
+		sub.queue.push(c.Slot())
 	}
 
 	// Seed the running jobs' end events in ID order: the heap breaks
 	// same-instant ties by insertion sequence, so a deterministic
 	// insertion order keeps nested runs reproducible.
+	pr := &parent.running
 	w.order = w.order[:0]
-	for j := range parent.running {
-		if !wasBegun(j) {
-			w.order = append(w.order, j)
+	for i, ps := range pr.slots {
+		if !wasBegun(parent.table.At(ps)) {
+			w.order = append(w.order, int32(i))
 		}
 	}
-	slices.SortFunc(w.order, func(a, b *job.Job) int { return cmp.Compare(a.ID, b.ID) })
-	for _, j := range w.order {
-		arena = append(arena, *j)
-		c := &arena[len(arena)-1]
-		sub.running[c] = parent.running[j] // machine clone preserves allocation handles
-		sub.events.Push(c.Start.Add(effectiveRuntime(c)), evEnd, c)
+	slices.SortFunc(w.order, func(a, b int32) int {
+		return cmp.Compare(parent.table.At(pr.slots[a]).ID, parent.table.At(pr.slots[b]).ID)
+	})
+	for _, i := range w.order {
+		c := sub.table.Add(parent.table.At(pr.slots[i]))
+		sub.running.add(c.Slot(), pr.allocs[i]) // machine clone preserves allocation handles
+		sub.events.Push(c.Start.Add(effectiveRuntime(c)), evEnd, c.Slot())
 	}
-	w.arena = arena
 	return sub
 }
 
@@ -170,10 +166,10 @@ func (w *world) fork(parent *engine, s sched.Scheduler, queueView []*job.Job, cu
 func (w *world) armGrids(tickAt, checkAt units.Time, forkPass bool) {
 	sub := w.sub
 	if sub.cfg.SchedulePeriod > 0 {
-		sub.events.Push(tickAt, evTick, nil)
-		sub.events.Push(checkAt, evCheckpoint, nil)
+		sub.events.Push(tickAt, evTick, noSlot)
+		sub.events.Push(checkAt, evCheckpoint, noSlot)
 		sub.nextTick, sub.nextCheck = tickAt, checkAt
 	} else if forkPass {
-		sub.events.Push(sub.now, evTick, nil)
+		sub.events.Push(sub.now, evTick, noSlot)
 	}
 }

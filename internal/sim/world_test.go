@@ -48,13 +48,23 @@ func forkParent(t *testing.T, m machine.Machine, s sched.Scheduler, period units
 	var begun []passBegin
 	for _, j := range pre {
 		if j.State == job.Running {
-			begun = append(begun, passBegin{j, l.e.running[j]})
+			a, _ := l.e.running.alloc(j.Slot())
+			begun = append(begun, passBegin{j, a})
 		}
 	}
 	if ids(pre) != "[2 3 4 5 6]" || len(begun) != 3 || ids(l.e.queue.jobs()) != "[4 6]" {
 		t.Fatalf("setup: pre-pass queue %s, %d starts, queue %s", ids(pre), len(begun), ids(l.e.queue.jobs()))
 	}
 	return l.e, pre, begun
+}
+
+// runningByID returns e's running set as job ID → allocation.
+func runningByID(e *engine) map[int]machine.Alloc {
+	m := map[int]machine.Alloc{}
+	for i, s := range e.running.slots {
+		m[e.table.At(s).ID] = e.running.allocs[i]
+	}
+	return m
 }
 
 // ids renders a job list's IDs in order, e.g. "[4 6]".
@@ -108,7 +118,7 @@ func TestWorldFork(t *testing.T) {
 				// The parent as it stands, to prove the fork left it alone.
 				busy, used, idle := e.machine.BusyNodes(), e.machine.UsedNodes(), e.machine.IdleNodes()
 				queue := ids(e.queue.jobs())
-				running := maps.Clone(e.running)
+				running := runningByID(e)
 				fields := map[*job.Job]job.Job{}
 				for _, j := range pre {
 					fields[j] = *j
@@ -133,20 +143,21 @@ func TestWorldFork(t *testing.T) {
 					for _, pb := range begun {
 						freed += pb.j.Nodes
 					}
-					if got := sub.machine.BusyNodes(); got != busy-freed || len(sub.running) != f.wantRun {
+					if got := sub.machine.BusyNodes(); got != busy-freed || sub.running.len() != f.wantRun {
 						t.Errorf("fork has %d busy nodes and %d running jobs, want %d and %d",
-							got, len(sub.running), busy-freed, f.wantRun)
+							got, sub.running.len(), busy-freed, f.wantRun)
 					}
 
 					if err := sub.run(nil); err != nil {
 						t.Fatal(err)
 					}
 					res := &Result{}
-					for i := range w.arena {
-						if c := &w.arena[i]; c.State != job.Finished {
+					for s := range int32(sub.table.Len()) {
+						c := sub.table.At(s)
+						if c.State != job.Finished {
 							t.Errorf("fork job %d ended the run %v", c.ID, c.State)
 						}
-						res.Jobs = append(res.Jobs, &w.arena[i])
+						res.Jobs = append(res.Jobs, c)
 					}
 					return scheduleHash(res)
 				}
@@ -159,8 +170,8 @@ func TestWorldFork(t *testing.T) {
 				if got := ids(e.queue.jobs()); got != queue {
 					t.Errorf("parent queue %s, was %s", got, queue)
 				}
-				if !maps.Equal(e.running, running) {
-					t.Errorf("parent running set %v, was %v", e.running, running)
+				if now := runningByID(e); !maps.Equal(now, running) {
+					t.Errorf("parent running set %v, was %v", now, running)
 				}
 				for j, was := range fields {
 					if *j != was {
