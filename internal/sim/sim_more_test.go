@@ -269,9 +269,42 @@ func TestMetricAwareYearScheduleHash(t *testing.T) {
 
 const metricAwareYearHash = "e84c48288fa64bb1484c45eb5f3a20791b1e9e742aa0a1c4a524db6b6c7eb07e"
 
+// TestPaperScaleBackfillScheduleHashes pins EASY on the whole seeded
+// intrepid-heavy trace and conservative backfilling on its first 800
+// jobs (the whole trace takes half a minute), both on Intrepid: the
+// paper-scale schedules of the two baselines, which the small-trace
+// family pins below cannot reach.
+func TestPaperScaleBackfillScheduleHashes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale replay")
+	}
+	for _, c := range []struct {
+		name string
+		jobs int
+		s    sched.Scheduler
+		want string
+	}{
+		{"easy", 0, sched.NewEASY(), "11e15f102d10ace5bef3e851a029811b08771eedc2f97aac2e765011e3df43ec"},
+		{"conservative", 800, sched.NewConservative(), "00a8b955f72868191d7676c03e519f1d4337df7bf9f36e47c1b09f5e9534aa2b"},
+	} {
+		cfg := workload.IntrepidHeavy(42)
+		cfg.MaxJobs = c.jobs
+		jobs, err := cfg.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := run(t, Config{Machine: machine.NewIntrepid(), Scheduler: c.s}, jobs)
+		h := scheduleHash(res)
+		if got := hex.EncodeToString(h[:]); got != c.want {
+			t.Errorf("%s: schedule hash %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
 // TestBackfillFamilyScheduleHashes pins the exact schedule of every
 // queue-order/reservation-depth policy — strict lists, first fit, EASY,
-// conservative, relaxed, fair share and dynP — on each machine model,
+// conservative, relaxed, the WFP, UNICEF and size orders, fair share
+// and dynP — on each machine model,
 // Paranoid on, plus fairness-on legs for a strict list and fair share:
 // a refactor of the backfill pass must not move a single start.
 func TestBackfillFamilyScheduleHashes(t *testing.T) {
@@ -293,6 +326,9 @@ func TestBackfillFamilyScheduleHashes(t *testing.T) {
 		{"conservative", func() sched.Scheduler { return sched.NewConservative() }},
 		{"relaxed:10", func() sched.Scheduler { return sched.NewRelaxed(10 * units.Minute) }},
 		{"wfp", func() sched.Scheduler { return sched.NewWFP() }},
+		{"unicef", func() sched.Scheduler { return sched.NewUNICEF() }},
+		{"largest", func() sched.Scheduler { return sched.NewLargest() }},
+		{"smallest", func() sched.Scheduler { return sched.NewSmallest() }},
 		{"fairshare:6h", func() sched.Scheduler { return sched.NewFairShare(6 * units.Hour) }},
 		{"dynp", func() sched.Scheduler { return sched.NewDynP() }},
 	}
@@ -357,6 +393,9 @@ var backfillFamilyHashes = map[string]string{
 	"firstfit@flat":               "16d0777232315fb3",
 	"firstfit@partition":          "c160376c6dd6399f",
 	"firstfit@torus":              "5fb4180ba474ab32",
+	"largest@flat":                "47719eb9bed390dd",
+	"largest@partition":           "80d9660bbf2e0595",
+	"largest@torus":               "ee1908a471f4de00",
 	"ljf@flat":                    "ee17cb2d6313636f",
 	"ljf@partition":               "1a82fff306d640f6",
 	"ljf@torus":                   "2147494d7ba0e08a",
@@ -366,6 +405,12 @@ var backfillFamilyHashes = map[string]string{
 	"sjf@flat":                    "59817c7fe6fd5569",
 	"sjf@partition":               "79a61056c89152ca",
 	"sjf@torus":                   "a6b8148c3b2bb00e",
+	"smallest@flat":               "eaae7599fda12035",
+	"smallest@partition":          "0a2116cd1b2f041c",
+	"smallest@torus":              "a182db082248511e",
+	"unicef@flat":                 "db0b1ef8f52fd152",
+	"unicef@partition":            "4b5eb61aa4b196bb",
+	"unicef@torus":                "a866c5e24912eb88",
 	"wfp@flat":                    "5aeb6356f3c98842",
 	"wfp@partition":               "283386fdef12c3b3",
 	"wfp@torus":                   "bd8e9fcb3ca1433b",
