@@ -34,8 +34,8 @@ func TestReservationPersistsAcrossPasses(t *testing.T) {
 	if got := env.StartedIDs(); len(got) != 2 || got[1] != 2 {
 		t.Fatalf("pass 1 started %v, want the window-mate", got)
 	}
-	if s.reservedID != 1 {
-		t.Fatalf("head not protected: reservedID=%d", s.reservedID)
+	if id, _, _ := s.ProtectedReservation(); id != 1 {
+		t.Fatalf("head not protected: holder=%d", id)
 	}
 
 	// Pass 2 at t=20: new small jobs arrive. The head is now protected
@@ -62,8 +62,8 @@ func TestReservationPersistsAcrossPasses(t *testing.T) {
 	if started4 {
 		t.Errorf("reservation-delaying job started: %v", ids)
 	}
-	if s.reservedID != 1 {
-		t.Errorf("protection moved to %d", s.reservedID)
+	if id, _, _ := s.ProtectedReservation(); id != 1 {
+		t.Errorf("protection moved to %d", id)
 	}
 
 	// Drain everything; the head must start the moment the machine
@@ -79,8 +79,8 @@ func TestReservationPersistsAcrossPasses(t *testing.T) {
 		t.Errorf("head started at %v, want 160", head.Start)
 	}
 	// With the head running, protection passes to the next blocked job.
-	if s.reservedID != 4 {
-		t.Errorf("protection should move to the delayed job: reservedID=%d", s.reservedID)
+	if id, _, _ := s.ProtectedReservation(); id != 4 {
+		t.Errorf("protection should move to the delayed job: holder=%d", id)
 	}
 }
 

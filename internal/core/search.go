@@ -5,7 +5,6 @@ import (
 
 	"amjs/internal/job"
 	"amjs/internal/machine"
-	"amjs/internal/sched"
 	"amjs/internal/units"
 )
 
@@ -18,29 +17,6 @@ import (
 // magnitude costlier. Beyond the bound the window is processed in
 // priority order without search.
 const maxPermWindow = 7
-
-// startableNow counts the jobs that can start at this instant under
-// the plan, stopping at two — its callers only distinguish none /
-// exactly one / several — and returns the first such job with its
-// StartableNow hint. A start can only consume idle nodes, so a request
-// exceeding the idle count is rejected before the (much more expensive)
-// plan probe; when the machine is saturated every job short-circuits
-// and the scan costs a handful of integer compares.
-func startableNow(env sched.Env, plan machine.Plan, jobs []*job.Job) (n int, first *job.Job, hint int) {
-	idle := env.Machine().IdleNodes()
-	for _, j := range jobs {
-		if j.Nodes > idle {
-			continue
-		}
-		if h, ok := plan.StartableNow(j.Nodes, j.Walltime); ok {
-			if n++; n == 2 {
-				break
-			}
-			first, hint = j, h
-		}
-	}
-	return n, first, hint
-}
 
 // bestPermutation returns the winning window order (indices into
 // window). The criterion is least makespan, then most immediate starts,
