@@ -36,9 +36,10 @@ vet:
 # bit-rot without the minutes-long measured run. The warm-ranking and
 # window-search-counter families live in internal/core and the
 # ingest-decode, daemon-cycle and batch-submit families in
-# internal/server, so those paths are swept too.
+# internal/server, so those paths are swept too. FairnessOracle runs
+# EASY with fairness off and on, the held pass under the oracle.
 bench-smoke:
-	$(GO) test -timeout 5m -run '^$$' -bench 'ScheduleIteration|PlanBuild|PlanEarliestStart|PlanStartableNowOverlays|PlanCommit|SimEndToEnd|SimAtScale|SimWhatIf|FairPeriodic' -benchtime 1x .
+	$(GO) test -timeout 5m -run '^$$' -bench 'ScheduleIteration|PlanBuild|PlanEarliestStart|PlanStartableNowOverlays|PlanCommit|SimEndToEnd|SimAtScale|SimWhatIf|FairPeriodic|FairnessOracle' -benchtime 1x .
 	$(GO) test -timeout 5m -run '^$$' -bench 'PrioritizeWarm|WindowSearchYear' -benchtime 1x ./internal/core
 	$(GO) test -timeout 5m -run '^$$' -bench 'IngestDecode|DaemonCycle|BatchSubmit' -benchtime 1x ./internal/server
 

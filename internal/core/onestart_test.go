@@ -86,61 +86,80 @@ func oneStartScenes() []oneStartScene {
 // those that fit it, by the reservation.
 func TestOneStartablePassSkipsRanking(t *testing.T) {
 	const now = units.Time(10)
+	type policy struct {
+		name    string
+		mk      func() heldPolicy
+		scorers []Scorer // the policy's ranking
+	}
+	var policies []policy
+	for _, bf := range []float64{0, 0.5, 1} {
+		for _, w := range []int{1, 4, 7} {
+			policies = append(policies, policy{fmt.Sprintf("bf=%g/w=%d", bf, w),
+				func() heldPolicy { return NewMetricAware(bf, w) }, scorersOf(NewMetricAware(bf, w))})
+		}
+	}
+	policies = append(policies, policy{"easy", func() heldPolicy { return sched.NewEASY() }, scorersOf(NewMetricAware(1, 1))})
 	for _, sc := range oneStartScenes() {
-		for _, bf := range []float64{0, 0.5, 1} {
-			for _, w := range []int{1, 4, 7} {
-				for _, pos := range []string{"front", "middle", "back"} {
-					t.Run(fmt.Sprintf("%s/bf=%g/w=%d/%s", sc.name, bf, w, pos), func(t *testing.T) {
-						m := sc.build()
-						holder := schedtest.J(1, 0, sc.holder, 400, 400)
-						env := &hintEnv{Env: schedtest.New(m, holder)}
-						s := NewMetricAware(bf, w)
-						s.Schedule(env)
-						if id, at, held := s.ProtectedReservation(); !held || id != holder.ID || at != 100 {
-							t.Fatalf("setup: reservation (%d, %v, %v), want job 1 at 100", id, at, held)
-						}
+		for _, p := range policies {
+			for _, pos := range []string{"front", "middle", "back"} {
+				t.Run(fmt.Sprintf("%s/%s/%s", sc.name, p.name, pos), func(t *testing.T) {
+					m := sc.build()
+					holder := schedtest.J(1, 0, sc.holder, 400, 400)
+					env := &hintEnv{Env: schedtest.New(m, holder)}
+					s := p.mk()
+					s.Schedule(env)
+					if id, at, held := s.ProtectedReservation(); !held || id != holder.ID || at != 100 {
+						t.Fatalf("setup: reservation (%d, %v, %v), want job 1 at 100", id, at, held)
+					}
 
-						// Nine later jobs whose walltimes and submissions spread
-						// the ranking; all are blocked until one is shrunk.
-						var rest []*job.Job
-						for i := range 9 {
-							wall := units.Duration(200 + (i*37)%9*150)
-							rest = append(rest, schedtest.J(2+i, units.Time(1+i), sc.holder+8, wall, wall))
-							if i%2 == 1 {
-								rest[i].Nodes = sc.fits
-							}
+					// Nine later jobs whose walltimes and submissions spread
+					// the ranking; all are blocked until one is shrunk.
+					var rest []*job.Job
+					for i := range 9 {
+						wall := units.Duration(200 + (i*37)%9*150)
+						rest = append(rest, schedtest.J(2+i, units.Time(1+i), sc.holder+8, wall, wall))
+						if i%2 == 1 {
+							rest[i].Nodes = sc.fits
 						}
-						ranked := slices.DeleteFunc(MultiPrioritize(now, append([]*job.Job{holder}, rest...), scorersOf(s)),
-							func(j *job.Job) bool { return j == holder })
-						lone := ranked[map[string]int{"front": 0, "middle": len(ranked) / 2, "back": len(ranked) - 1}[pos]]
-						lone.Nodes = sc.small
-						env.Waiting = append(env.Waiting, rest...)
-						env.T = now
+					}
+					ranked := slices.DeleteFunc(MultiPrioritize(now, append([]*job.Job{holder}, rest...), p.scorers),
+						func(j *job.Job) bool { return j == holder })
+					lone := ranked[map[string]int{"front": 0, "middle": len(ranked) / 2, "back": len(ranked) - 1}[pos]]
+					lone.Nodes = sc.small
+					env.Waiting = append(env.Waiting, rest...)
+					env.T = now
 
-						s.Schedule(env)
-						if got := env.StartedIDs(); !slices.Equal(got, []int{lone.ID}) {
-							t.Fatalf("started %v, want only job %d", got, lone.ID)
+					s.Schedule(env)
+					if got := env.StartedIDs(); !slices.Equal(got, []int{lone.ID}) {
+						t.Fatalf("started %v, want only job %d", got, lone.ID)
+					}
+					if fp, ok := m.(machine.Footprinter); ok {
+						got, _, _ := fp.AllocUnits(env.Allocs[lone])
+						if !slices.Equal(got, []int{sc.unit}) {
+							t.Errorf("job %d placed on %v, want [%d]", lone.ID, got, sc.unit)
 						}
-						if fp, ok := m.(machine.Footprinter); ok {
-							got, _, _ := fp.AllocUnits(env.Allocs[lone])
-							if !slices.Equal(got, []int{sc.unit}) {
-								t.Errorf("job %d placed on %v, want [%d]", lone.ID, got, sc.unit)
-							}
-						} else if env.hints[0] != 0 {
-							t.Errorf("job %d started at hint %d, want 0", lone.ID, env.hints[0])
-						}
-						want := sched.PassReport{Horizon: max(holder.Submit, lone.Submit), Bounded: true, Untuned: true}
-						if got := s.LastPass(); got != want {
-							t.Errorf("report %+v, want %+v", got, want)
-						}
-						if id, _, held := s.ProtectedReservation(); !held || id != holder.ID {
-							t.Errorf("reservation after the pass = (%d, %v), want job 1 held", id, held)
-						}
-					})
-				}
+					} else if env.hints[0] != 0 {
+						t.Errorf("job %d started at hint %d, want 0", lone.ID, env.hints[0])
+					}
+					want := sched.PassReport{Horizon: max(holder.Submit, lone.Submit), Bounded: true, Untuned: true}
+					if got := s.LastPass(); got != want {
+						t.Errorf("report %+v, want %+v", got, want)
+					}
+					if id, _, held := s.ProtectedReservation(); !held || id != holder.ID {
+						t.Errorf("reservation after the pass = (%d, %v), want job 1 held", id, held)
+					}
+				})
 			}
 		}
 	}
+}
+
+// heldPolicy is a scheduler running the held-reservation pass:
+// MetricAware, EASY or conservative backfilling.
+type heldPolicy interface {
+	sched.Scheduler
+	sched.PassReporter
+	ProtectedReservation() (jobID int, start units.Time, held bool)
 }
 
 // scorersOf returns the ranking a metric-aware scheduler applies.
@@ -156,28 +175,33 @@ func scorersOf(s *MetricAware) []Scorer {
 // gate: with the reservation held and two jobs startable that cannot
 // both start, the ranking picks the one that does, so the pass must not
 // take the exit. At W=1 the shorter, later job wins under SJF (BF=0),
-// the earlier one under FCFS (BF=1); an exit taken at two startable
-// jobs would start the earlier one under both.
+// the earlier one under FCFS (BF=1 and EASY); an exit taken at two
+// startable jobs would start the earlier one under all three.
 func TestTwoStartablePassFollowsRanking(t *testing.T) {
 	const now = units.Time(10)
 	for _, sc := range oneStartScenes()[1:] { // partition and torus: one free unit
 		for _, c := range []struct {
-			bf   float64
+			name string
+			mk   func() heldPolicy
 			want int
-		}{{0, 3}, {1, 2}} {
+		}{
+			{"bf=0", func() heldPolicy { return NewMetricAware(0, 1) }, 3},
+			{"bf=1", func() heldPolicy { return NewMetricAware(1, 1) }, 2},
+			{"easy", func() heldPolicy { return sched.NewEASY() }, 2},
+		} {
 			m := sc.build()
 			holder := schedtest.J(1, 0, sc.holder, 400, 400)
 			env := schedtest.New(m, holder)
-			s := NewMetricAware(c.bf, 1)
+			s := c.mk()
 			s.Schedule(env)
 			env.Waiting = append(env.Waiting, schedtest.J(2, 1, sc.small, 900, 900), schedtest.J(3, 2, sc.small, 300, 300))
 			env.T = now
 			s.Schedule(env)
 			if got := env.StartedIDs(); !slices.Equal(got, []int{c.want}) {
-				t.Errorf("%s bf=%g: started %v, want [%d]", sc.name, c.bf, got, c.want)
+				t.Errorf("%s %s: started %v, want [%d]", sc.name, c.name, got, c.want)
 			}
 			if s.LastPass().Untuned {
-				t.Errorf("%s bf=%g: a pass that ranked two startable jobs reports Untuned", sc.name, c.bf)
+				t.Errorf("%s %s: a pass that ranked two startable jobs reports Untuned", sc.name, c.name)
 			}
 		}
 	}

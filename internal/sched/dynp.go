@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"fmt"
-
 	"amjs/internal/job"
 	"amjs/internal/units"
 )
@@ -20,35 +18,20 @@ import (
 // balancing fairness/utilization metrics or of monitored feedback.
 type DynP struct {
 	Candidates []Order
-	names      []string
-	lastChoice int
 }
 
 // NewDynP returns dynP with the classic FCFS/SJF/LJF candidate set.
 func NewDynP() *DynP {
-	return &DynP{
-		Candidates: []Order{SubmitOrder, ShortestFirst, LongestFirst},
-		names:      []string{"fcfs", "sjf", "ljf"},
-	}
+	return &DynP{Candidates: []Order{SubmitOrder, ShortestFirst, LongestFirst}}
 }
 
 // Name implements Scheduler.
 func (d *DynP) Name() string { return "dynp" }
 
-// LastChoice reports which candidate the previous pass selected (for
-// tests and diagnostics).
-func (d *DynP) LastChoice() string {
-	if d.lastChoice < 0 || d.lastChoice >= len(d.names) || len(d.names) == 0 {
-		return fmt.Sprintf("candidate-%d", d.lastChoice)
-	}
-	return d.names[d.lastChoice]
-}
-
 // Clone implements Scheduler.
 func (d *DynP) Clone() Scheduler {
 	c := *d
 	c.Candidates = append([]Order(nil), d.Candidates...)
-	c.names = append([]string(nil), d.names...)
 	return &c
 }
 
@@ -65,7 +48,6 @@ func (d *DynP) Schedule(env Env) {
 			best, bestWait = i, w
 		}
 	}
-	d.lastChoice = best
 	backfill(env, d.Candidates[best](env.Now(), queue), 1, false, nil)
 }
 

@@ -2,6 +2,7 @@ package sched_test
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"amjs/internal/job"
@@ -209,24 +210,29 @@ func TestWFPPrefersLongWaitedLarge(t *testing.T) {
 	}
 }
 
+// TestDynPSwitchesToSJFUnderBacklog: a long head job blocked until t=50
+// and a shorter one that fits now but would delay it. FCFS reserves
+// the head and starts nothing; SJF starts the shorter job, and its
+// tentative schedule has the lower mean wait, so dynP must start what
+// SJF with EASY backfilling starts.
 func TestDynPSwitchesToSJFUnderBacklog(t *testing.T) {
-	// Saturated machine: many short jobs and one long job waiting; SJF
-	// minimizes estimated average wait, so dynP must pick it.
-	m := machine.NewFlat(100)
-	m.TryStart(99, 100, 0, 50) // everything blocked until t=50
-	long := schedtest.J(1, 0, 100, 10000, 9000)
-	s1 := schedtest.J(2, 1, 100, 10, 5)
-	s2 := schedtest.J(3, 2, 100, 10, 5)
-	s3 := schedtest.J(4, 3, 100, 10, 5)
-	env := schedtest.New(m, long, s1, s2, s3)
-	d := sched.NewDynP()
-	d.Schedule(env)
-	if got := d.LastChoice(); got != "sjf" {
-		t.Errorf("dynP chose %s, want sjf", got)
+	started := func(s sched.Scheduler) []int {
+		m := machine.NewFlat(100)
+		m.TryStart(99, 60, 0, 50) // 40 idle nodes until t=50
+		long := schedtest.J(1, 0, 100, 10000, 9000)
+		short := schedtest.J(2, 1, 40, 100, 80) // runs past t=50
+		env := schedtest.New(m, long, short)
+		env.T = 10
+		s.Schedule(env)
+		return env.StartedIDs()
 	}
-	// Nothing can start now (machine full), so no starts expected.
-	if len(env.Started) != 0 {
-		t.Errorf("started %v on a full machine", env.StartedIDs())
+	fcfs := started(&sched.Reserving{Order: sched.SubmitOrder, Depth: 1})
+	sjf := started(&sched.Reserving{Order: sched.ShortestFirst, Depth: 1})
+	if slices.Equal(fcfs, sjf) {
+		t.Fatalf("setup: FCFS and SJF both start %v", sjf)
+	}
+	if got := started(sched.NewDynP()); !slices.Equal(got, sjf) {
+		t.Errorf("dynP started %v, want SJF's %v", got, sjf)
 	}
 }
 

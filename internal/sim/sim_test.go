@@ -187,9 +187,12 @@ func TestConservativeIsFairOnEASYScenario(t *testing.T) {
 	}
 }
 
-// Full-trace equivalence of metric-aware(BF=1, W=1) and the independent
-// EASY implementation — the paper's reduction claim — on both machine
-// models with a realistic workload.
+// Full-trace equivalence of metric-aware(BF=1, W=1) and EASY — the
+// paper's reduction claim — and of its conservative form and
+// conservative backfilling, on every machine model with a realistic
+// workload. The reference is Reserving, which re-derives every
+// reservation each pass; sched.NewEASY and sched.NewConservative run
+// the held pass MetricAware runs, so they are legs beside it.
 func TestMetricAwareBF1W1MatchesEASYOnTrace(t *testing.T) {
 	cfg := workload.Mini(11)
 	cfg.MaxJobs = 120
@@ -197,17 +200,39 @@ func TestMetricAwareBF1W1MatchesEASYOnTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []machine.Machine{machine.NewFlat(512), machine.NewPartition(8, 64)} {
-		easy := run(t, Config{Machine: m, Scheduler: sched.NewEASY()}, jobs)
-		ma := run(t, Config{Machine: m, Scheduler: core.NewMetricAware(1, 1)}, jobs)
-		eByID, mByID := job.ByID(easy.Jobs), job.ByID(ma.Jobs)
-		if len(eByID) != len(mByID) {
-			t.Fatalf("%s: job counts differ", m.Name())
-		}
-		for id, ej := range eByID {
-			if mj := mByID[id]; mj.Start != ej.Start {
-				t.Errorf("%s: job %d starts differ: easy=%v metric-aware=%v",
-					m.Name(), id, ej.Start, mj.Start)
+	conservativeMA := func() sched.Scheduler {
+		s := core.NewMetricAware(1, 1)
+		s.Conservative = true
+		return s
+	}
+	for _, c := range []struct {
+		name string
+		ref  sched.Scheduler
+		legs []func() sched.Scheduler
+	}{
+		{"easy", &sched.Reserving{Order: sched.SubmitOrder, Depth: 1}, []func() sched.Scheduler{
+			func() sched.Scheduler { return sched.NewEASY() },
+			func() sched.Scheduler { return core.NewMetricAware(1, 1) },
+		}},
+		{"conservative", &sched.Reserving{Order: sched.SubmitOrder, Depth: sched.ReserveAll}, []func() sched.Scheduler{
+			func() sched.Scheduler { return sched.NewConservative() },
+			conservativeMA,
+		}},
+	} {
+		for _, m := range []machine.Machine{machine.NewFlat(512), machine.NewPartition(8, 64), machine.NewTorus(2, 2, 2, 64)} {
+			ref := job.ByID(run(t, Config{Machine: m, Scheduler: c.ref.Clone()}, jobs).Jobs)
+			for _, mk := range c.legs {
+				s := mk()
+				got := job.ByID(run(t, Config{Machine: m, Scheduler: s}, jobs).Jobs)
+				if len(got) != len(ref) {
+					t.Fatalf("%s %s: job counts differ", c.name, m.Name())
+				}
+				for id, rj := range ref {
+					if gj := got[id]; gj.Start != rj.Start {
+						t.Errorf("%s %s: job %d starts differ: reference=%v %s=%v",
+							c.name, m.Name(), id, rj.Start, s.Name(), gj.Start)
+					}
+				}
 			}
 		}
 	}
