@@ -4,14 +4,12 @@
 // and relaxed backfilling over the classic queue orders (WFP, UNICEF,
 // size- and expansion-ordered), fair share, and a dynP-style
 // self-tuning policy switcher. Every priority order ranks by one rule,
-// ComparePriority. The list and backfilling policies differ only in
-// queue order and reservation depth (Reserving) and, relaxed
-// backfilling aside, run one placement loop; fair share and dynP run
-// it too.
-//
-// The paper's own contribution — metric-aware windowed scheduling with
-// adaptive policy tuning — lives in package core and implements the
-// same interface.
+// ComparePriority. EASY and conservative backfilling run HeldPass, the
+// pass the paper's metric-aware policy (package core) runs with its own
+// ranking and window search. The other list and backfilling policies
+// differ only in queue order and reservation depth (Reserving) and,
+// relaxed backfilling aside, run one placement loop; fair share and
+// dynP run it too.
 package sched
 
 import (
