@@ -167,9 +167,9 @@ func TestSlowdownSummary(t *testing.T) {
 		schedtest.J(2, 0, 10, 100, 100), // waits 100, runtime 100 → slowdown 2
 	}
 	res := run(t, Config{Machine: machine.NewFlat(10), Scheduler: sched.NewFCFS()}, jobs)
-	sd := res.Metrics.SlowdownSummary()
-	if sd.N != 2 || sd.Max != 2 || sd.Min != 1 {
-		t.Errorf("slowdown summary wrong: %+v", sd)
+	m := res.Metrics
+	if m.StartedCount() != 2 || m.MaxBSLD() != 2 || m.AvgBSLD() != 1.5 {
+		t.Errorf("slowdowns wrong: %d started, max %v, mean %v", m.StartedCount(), m.MaxBSLD(), m.AvgBSLD())
 	}
 }
 

@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -25,7 +26,20 @@ func FuzzSWF(f *testing.F) {
 	f.Add([]byte("1 0 -1 10 9223372036854775807 -1 -1 -1 20 -1 1 7 -1 -1 -1 -1 -1 -1\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		jobs, skipped, err := ReadSWF(bytes.NewReader(data), SWFOptions{ProcsPerNode: 4, MaxNodes: 1 << 20})
+		opt := SWFOptions{ProcsPerNode: 4, MaxNodes: 1 << 20}
+		jobs, skipped, err := ReadSWF(bytes.NewReader(data), opt)
+
+		// The streaming parser orders through its reorder heap what
+		// ReadSWF orders through Rebase's sort: whenever both succeed
+		// (the stream also rejects disorder beyond its slack), they agree.
+		src := NewSWFSource(bytes.NewReader(data), opt, DefaultSWFSlack)
+		if streamed, serr := Collect(src); err == nil && serr == nil {
+			if src.Skipped() != skipped || !reflect.DeepEqual(streamed, jobs) {
+				t.Fatalf("stream and ReadSWF disagree: skipped %d vs %d\nstream: %v\nbatch:  %v",
+					src.Skipped(), skipped, streamed, jobs)
+			}
+		}
+
 		if err != nil {
 			var se *SWFError
 			switch {

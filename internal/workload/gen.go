@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"amjs/internal/job"
 	"amjs/internal/rng"
@@ -104,80 +103,15 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// Generate synthesizes the workload. Jobs are returned sorted by submit
-// time with IDs assigned 1..n in that order, and every job passes
-// job.Validate.
+// Generate synthesizes the workload: the jobs Stream yields, collected.
+// Jobs are sorted by submit time with IDs assigned 1..n in that order,
+// and every job passes job.Validate.
 func (c *Config) Generate() ([]*job.Job, error) {
-	if err := c.Validate(); err != nil {
+	src, err := c.Stream()
+	if err != nil {
 		return nil, err
 	}
-	root := rng.New(c.Seed)
-	arrivalRng := root.Split("arrivals")
-	sizeRng := root.Split("sizes")
-	runRng := root.Split("runtimes")
-	wallRng := root.Split("walltimes")
-	userRng := root.Split("users")
-	burstRng := root.Split("bursts")
-
-	weights := make([]float64, len(c.Sizes))
-	for i, s := range c.Sizes {
-		weights[i] = s.Weight
-	}
-	sizeDist := rng.NewWeighted(weights)
-	userDist := rng.NewZipf(c.Users, c.UserSkew)
-
-	var submits []units.Time
-	baseRate := 1 / float64(c.Arrival.MeanInterarrival)
-	maxRate := baseRate * (1 + c.Arrival.DiurnalAmplitude)
-	t := 0.0
-	capReached := func() bool { return c.MaxJobs > 0 && len(submits) >= c.MaxJobs }
-	for !capReached() {
-		t += arrivalRng.Exp(1 / maxRate)
-		if units.Duration(t) > c.Horizon {
-			break
-		}
-		if arrivalRng.Float64() >= c.rateAt(units.Time(t))/maxRate {
-			continue // thinned
-		}
-		submits = append(submits, units.Time(t))
-		if c.Arrival.BurstProb > 0 && burstRng.Bool(c.Arrival.BurstProb) {
-			n := 1 + burstRng.Intn(2*c.Arrival.MeanBurstSize)
-			for k := 0; k < n && !capReached(); k++ {
-				off := units.Duration(burstRng.Float64() * float64(c.Arrival.BurstSpread))
-				st := units.Time(t).Add(off)
-				if units.Duration(st) <= c.Horizon {
-					submits = append(submits, st)
-				}
-			}
-		}
-	}
-	sort.Slice(submits, func(i, j int) bool { return submits[i] < submits[j] })
-
-	jobs := make([]*job.Job, 0, len(submits))
-	for i, submit := range submits {
-		nodes := c.Sizes[sizeDist.Draw(sizeRng)].Nodes
-		if c.OddSizeProb > 0 && sizeRng.Bool(c.OddSizeProb) && nodes > 1 {
-			// An "odd" request below the partition size, causing internal
-			// fragmentation as on the real machine.
-			nodes = 1 + int(float64(nodes-1)*sizeRng.Uniform(0.55, 1.0))
-		}
-		runtime := units.Duration(runRng.LogNormal(math.Log(c.Runtime.MedianSeconds), c.Runtime.Sigma)).
-			Clamp(c.Runtime.Min, c.Runtime.Max)
-		walltime := c.drawWalltime(wallRng, runtime)
-		j := &job.Job{
-			ID:       i + 1,
-			User:     fmt.Sprintf("u%d", userDist.Draw(userRng)+1),
-			Submit:   submit,
-			Nodes:    nodes,
-			Walltime: walltime,
-			Runtime:  runtime,
-		}
-		if err := j.Validate(); err != nil {
-			return nil, fmt.Errorf("workload: generated invalid job: %w", err)
-		}
-		jobs = append(jobs, j)
-	}
-	return jobs, nil
+	return Collect(src)
 }
 
 // rateAt is the arrival intensity at simulated instant t.

@@ -3,46 +3,13 @@ package workload
 import (
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 
 	"amjs/internal/units"
 )
-
-// The streaming generator must be bit-identical to the batch
-// generator: same jobs, same order, same IDs.
-func TestStreamMatchesGenerate(t *testing.T) {
-	configs := map[string]Config{
-		"mini":     Mini(3),
-		"intrepid": func() Config { c := Intrepid(7); c.MaxJobs = 2000; return c }(),
-		"heavy":    func() Config { c := IntrepidHeavy(11); c.MaxJobs = 500; return c }(),
-	}
-	for name, cfg := range configs {
-		t.Run(name, func(t *testing.T) {
-			want, err := cfg.Generate()
-			if err != nil {
-				t.Fatalf("Generate: %v", err)
-			}
-			src, err := cfg.Stream()
-			if err != nil {
-				t.Fatalf("Stream: %v", err)
-			}
-			got, err := Collect(src)
-			if err != nil {
-				t.Fatalf("Collect: %v", err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("streamed %d jobs, batch generated %d", len(got), len(want))
-			}
-			for i := range want {
-				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Fatalf("job %d differs:\nstream: %+v\nbatch:  %+v", i, got[i], want[i])
-				}
-			}
-		})
-	}
-}
 
 // Streaming must not retain the whole trace: a second Next after EOF
 // stays EOF, and the source is single-pass.
@@ -80,9 +47,6 @@ func TestSWFSourceMatchesReadSWF(t *testing.T) {
 	if src.Skipped() != wantSkipped {
 		t.Errorf("Skipped() = %d, want %d", src.Skipped(), wantSkipped)
 	}
-	if !src.InOrder() {
-		t.Errorf("InOrder() = false for the in-order sample trace")
-	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("streaming SWF parse differs from batch parse:\nstream: %v\nbatch:  %v", got, want)
 	}
@@ -115,9 +79,6 @@ func TestSWFSourceReordersWithinSlack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src.InOrder() {
-		t.Errorf("InOrder() = true for an out-of-order trace")
-	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("reordered streaming parse differs from batch parse:\nstream: %v\nbatch:  %v", got, want)
 	}
@@ -129,14 +90,37 @@ func TestSWFSourceReordersWithinSlack(t *testing.T) {
 }
 
 func TestSWFSourceDisorderBeyondSlack(t *testing.T) {
-	var b strings.Builder
-	b.WriteString(makeSWFLine(1, 100, 600, 64))
-	b.WriteString(makeSWFLine(2, 300, 600, 64)) // pushes job 1 out of the buffer
-	b.WriteString(makeSWFLine(3, 50, 600, 64))  // precedes an already-emitted record
-	src := NewSWFSource(strings.NewReader(b.String()), SWFOptions{ProcsPerNode: 1}, 100*units.Second)
-	_, err := Collect(src)
-	if err == nil {
-		t.Fatal("want error for disorder beyond the slack window, got nil")
+	traces := map[string][]string{
+		// Job 3 precedes an already-emitted record.
+		"earlier submit": {makeSWFLine(1, 100, 600, 64), makeSWFLine(2, 300, 600, 64), makeSWFLine(3, 50, 600, 64)},
+		// Job 1 ties with the emitted job 2 on submit but sorts before it.
+		"lower ID at an emitted submit": {makeSWFLine(2, 100, 600, 64), makeSWFLine(4, 300, 600, 64), makeSWFLine(1, 100, 600, 64)},
+	}
+	for name, lines := range traces {
+		// The second record pushes the first out of the buffer.
+		src := NewSWFSource(strings.NewReader(strings.Join(lines, "")), SWFOptions{ProcsPerNode: 1}, 100*units.Second)
+		if _, err := Collect(src); err == nil {
+			t.Errorf("%s: want error for disorder beyond the slack window, got nil", name)
+		}
+	}
+}
+
+// A slack near math.MaxInt64 must not overflow the release test: two
+// records out of order parse as they do under any slack that covers
+// their disorder.
+func TestSWFSourceHugeSlack(t *testing.T) {
+	trace := makeSWFLine(1, 100, 600, 64) + makeSWFLine(2, 50, 600, 64)
+	opt := SWFOptions{ProcsPerNode: 1}
+	want, err := Collect(NewSWFSource(strings.NewReader(trace), opt, 1000*units.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Collect(NewSWFSource(strings.NewReader(trace), opt, math.MaxInt64))
+	if err != nil {
+		t.Fatalf("slack MaxInt64: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("slack MaxInt64 parse differs from slack 1000 s:\n got %v\nwant %v", got, want)
 	}
 }
 

@@ -15,9 +15,10 @@ package workload
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -119,40 +120,18 @@ var swfFieldNames = [swfFieldCount]string{
 // times are rebased so the earliest kept job submits at time 0. For the
 // streaming counterpart, see NewSWFSource.
 func ReadSWF(r io.Reader, opt SWFOptions) (jobs []*job.Job, skipped int, err error) {
-	ppn := opt.ProcsPerNode
-	if ppn <= 0 {
-		ppn = 1
-	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	lineNo := 0
-	inOrder := true // detected during the parse: archive traces usually are
-	for sc.Scan() {
-		lineNo++
-		j, skip, err := parseSWFLine(sc.Text(), lineNo, ppn, opt)
+	s := NewSWFSource(r, opt, 0)
+	for !s.eof {
+		j, err := s.scanRecord()
 		if err != nil {
-			return nil, skipped, err
+			return nil, s.skipped, err
 		}
-		if skip {
-			skipped++
-			continue
+		if j != nil {
+			jobs = append(jobs, j)
 		}
-		if j == nil {
-			continue // comment or blank line
-		}
-		if n := len(jobs); n > 0 && inOrder {
-			prev := jobs[n-1]
-			if j.Submit < prev.Submit || (j.Submit == prev.Submit && j.ID < prev.ID) {
-				inOrder = false
-			}
-		}
-		jobs = append(jobs, j)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, skipped, fmt.Errorf("workload: reading SWF: %w", err)
-	}
-	rebase(jobs, inOrder)
-	return jobs, skipped, nil
+	Rebase(jobs)
+	return jobs, s.skipped, nil
 }
 
 // parseSWFLine parses one SWF line. It returns (nil, false, nil) for
@@ -274,45 +253,34 @@ func WriteSWF(w io.Writer, jobs []*job.Job, header string) error {
 }
 
 // Rebase shifts submit times so the earliest job submits at 0 and sorts
-// jobs by (submit, ID). A trace that is already in order — the Parallel
-// Workloads Archive common case — pays one linear scan and skips the
-// O(n log n) sort.
+// jobs by (submit, ID), keeping file order among ties. A trace that is
+// already in order — the Parallel Workloads Archive common case — pays
+// one linear scan and skips the sort.
 func Rebase(jobs []*job.Job) {
-	inOrder := true
-	for i := 1; i < len(jobs); i++ {
-		a, b := jobs[i-1], jobs[i]
-		if b.Submit < a.Submit || (b.Submit == a.Submit && b.ID < a.ID) {
-			inOrder = false
-			break
-		}
-	}
-	rebase(jobs, inOrder)
-}
-
-// rebase is Rebase with the order check hoisted to the caller (ReadSWF
-// detects order during the parse instead of rescanning).
-func rebase(jobs []*job.Job, inOrder bool) {
 	if len(jobs) == 0 {
 		return
 	}
-	min := jobs[0].Submit
-	for _, j := range jobs {
-		if j.Submit < min {
-			min = j.Submit
+	base, inOrder := jobs[0].Submit, true
+	for i, j := range jobs {
+		base = min(base, j.Submit)
+		if i > 0 && compareSubmitID(jobs[i-1], j) > 0 {
+			inOrder = false
 		}
 	}
 	for _, j := range jobs {
-		j.Submit -= min
+		j.Submit -= base
 	}
-	if inOrder {
-		return
+	if !inOrder {
+		slices.SortStableFunc(jobs, compareSubmitID)
 	}
-	sort.Slice(jobs, func(a, b int) bool {
-		if jobs[a].Submit != jobs[b].Submit {
-			return jobs[a].Submit < jobs[b].Submit
-		}
-		return jobs[a].ID < jobs[b].ID
-	})
+}
+
+// compareSubmitID orders jobs by (submit, ID).
+func compareSubmitID(a, b *job.Job) int {
+	if c := cmp.Compare(a.Submit, b.Submit); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // SampleSWF is a small hand-written SWF fragment used by tests and the
