@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench-smoke load-smoke whatif-smoke tournament-smoke fuzz fuzz-corpus verify benchmark profile loc run-daemon clean
+.PHONY: all build test race vet bench-smoke load-smoke whatif-smoke tournament-smoke experiments-check fuzz fuzz-corpus verify benchmark profile loc run-daemon clean
 
 all: build
 
@@ -62,6 +62,13 @@ whatif-smoke:
 # at workers=1 and workers=8 (see scripts/tournament_smoke.sh).
 tournament-smoke:
 	./scripts/tournament_smoke.sh
+
+# experiments-check regenerates table2 and fig3 at paper scale (~40 s
+# on 2 vCPUs) and fails when a Fig 3 cell or a Table II wait, unfair or
+# LoC cell of EXPERIMENTS.md differs from its CSV; the timing tables are
+# left out (see scripts/experiments_check.sh).
+experiments-check:
+	./scripts/experiments_check.sh
 
 # fuzz-corpus asserts the committed seed corpora exist: a fuzz target
 # whose corpus directory vanished would silently fuzz from nothing.
