@@ -5,6 +5,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"amjs/internal/units"
 )
@@ -97,6 +98,15 @@ func TestSWFErrorDefaultSource(t *testing.T) {
 	_, _, err := ReadSWF(strings.NewReader("1 2 3\n"), SWFOptions{})
 	if err == nil || !strings.HasPrefix(err.Error(), "workload: swf:1:") {
 		t.Fatalf("err = %v, want workload: swf:1: prefix", err)
+	}
+}
+
+// A read failure names the trace and wraps the reader's error.
+func TestReadSWFReadFailure(t *testing.T) {
+	boom := errors.New("disk gone")
+	_, _, err := ReadSWF(iotest.ErrReader(boom), SWFOptions{Source: "trace.swf"})
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "reading trace.swf") {
+		t.Fatalf("err = %v, want a wrapped read error naming trace.swf", err)
 	}
 }
 
